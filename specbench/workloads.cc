@@ -117,6 +117,19 @@ secondsSince(double start)
     return nowSeconds() - start;
 }
 
+/**
+ * Whether another round, started now, ends nearer @p deadline than
+ * stopping now does, judged by the round that began at @p start.
+ * A 2.6 s sweep round would otherwise overrun each stretch by half a
+ * round on average.
+ */
+bool
+beforeDeadline(double start, double deadline)
+{
+    const double now = nowSeconds();
+    return now + (now - start) / 2 < deadline;
+}
+
 std::string
 readFile(const std::string &path)
 {
@@ -205,8 +218,9 @@ class GateWorkload final : public Workload
         Rounds r;
         const double deadline = nowSeconds() + seconds;
         std::uint64_t id = 1;
+        double t0 = 0.0;
         do {
-            const double t0 = nowSeconds();
+            t0 = nowSeconds();
             const std::size_t cells =
                 pass(options_.nproc, r, tracer, id++);
             const double wall = secondsSince(t0);
@@ -218,7 +232,7 @@ class GateWorkload final : public Workload
             const double t1 = nowSeconds();
             const std::size_t cells1 = pass(1, serial, tracer, id++);
             r.rate1.push_back(cells1 / secondsSince(t1));
-        } while (nowSeconds() < deadline && !options_.smoke);
+        } while (beforeDeadline(t0, deadline) && !options_.smoke);
         return r;
     }
 
@@ -384,7 +398,9 @@ class SweepWorkload final : public Workload
         std::uint64_t id = 1;
         const std::string pathN = options_.workDir + "/sweep-wN.jsonl";
         const std::string path1 = options_.workDir + "/sweep-w1.jsonl";
+        double start = 0.0;
         do {
+            start = nowSeconds();
             const double wallN =
                 pass(options_.nproc, pathN, r, tracer, id++);
             r.roundMsN.push_back(wallN * 1e3);
@@ -399,7 +415,7 @@ class SweepWorkload final : public Workload
                 checks_.fail("sweep exports differ between 1 and " +
                              std::to_string(options_.nproc) +
                              " workers");
-        } while (nowSeconds() < deadline && !options_.smoke);
+        } while (beforeDeadline(start, deadline) && !options_.smoke);
         return r;
     }
 
@@ -543,6 +559,8 @@ class ServeWarmWorkload final : public Workload
     /// Keys per sweep slice: the size of the largest gate spec, so
     /// batch sizes span 7..144 keys.
     static constexpr std::size_t kSliceKeys = 144;
+    /// Length of one measured stretch (see measure()).
+    static constexpr double kStretchSeconds = 0.5;
 
     ServeWarmWorkload(const Options &options, Checks &checks)
         : options_(options), checks_(checks),
@@ -683,15 +701,27 @@ class ServeWarmWorkload final : public Workload
     measure(double seconds, Tracer &tracer) override
     {
         Rounds r;
-        const double t0 = nowSeconds();
-        r.rate1.push_back(loop(1, seconds / 3, r, tracer, nullptr) /
-                          secondsSince(t0));
-        const double t1 = nowSeconds();
         std::vector<double> latencies;
-        r.rateN.push_back(loop(workers_, seconds * 2 / 3, r, tracer,
-                               &latencies) /
-                          secondsSince(t1));
-        r.workerSeconds += workers_ * secondsSince(t1);
+        // One client for the first third, nproc/2 for the rest.  Each
+        // part is cut into stretches of about half a second, so the
+        // cells_per_s metrics rest on one rate per stretch.
+        const auto stretches = [&](unsigned clients, double part,
+                                   std::vector<double> &rates,
+                                   std::vector<double> *lat) {
+            const int n =
+                std::max(1, static_cast<int>(part / kStretchSeconds));
+            for (int k = 0; k < n; ++k) {
+                const double t0 = nowSeconds();
+                const double keys =
+                    loop(clients, part / n, r, tracer, lat);
+                const double wall = secondsSince(t0);
+                rates.push_back(keys / wall);
+                if (lat)
+                    r.workerSeconds += clients * wall;
+            }
+        };
+        stretches(1, seconds / 3, r.rate1, nullptr);
+        stretches(workers_, seconds * 2 / 3, r.rateN, &latencies);
         r.roundMsN = std::move(latencies);
         return r;
     }
