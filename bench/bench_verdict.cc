@@ -2,8 +2,7 @@
  * @file
  * Verdict-backend throughput: the analytic model (verdict/model.hh)
  * judging the full variant x defense matrix vs. the cycle-accurate
- * simulator executing it, plus the triage backend's simulate
- * fraction (the share of unique cells the model could not settle).
+ * simulator executing it, and the static analyzer doing the same.
  * The model-vs-simulator speedup is the number the CI perf gate
  * pins: the whole point of an analysis-only backend is that judging
  * a cell is at least an order of magnitude cheaper than simulating
@@ -20,7 +19,6 @@
 #include "campaign/campaign.hh"
 #include "verdict/model.hh"
 #include "verdict/static_verdict.hh"
-#include "verdict/verdict.hh"
 
 using namespace specsec;
 using namespace specsec::campaign;
@@ -143,31 +141,6 @@ main(int argc, char **argv)
                 "(%zu decided, %zu undecided)\n",
                 static_speedup, static_decided, static_undecided);
 
-    // Triage: how much of the grid still needs the simulator once
-    // the model has judged it, and whether the export stays
-    // byte-identical to the simulator backend's.
-    bench::header("triage backend: simulate fraction");
-    CampaignEngine::Options triage_opts;
-    triage_opts.workers = 1;
-    triage_opts.backend = verdict::VerdictBackend::Triage;
-    const CampaignReport triage =
-        CampaignEngine(triage_opts).run(spec);
-    const double simulate_fraction =
-        triage.uniqueCount
-            ? static_cast<double>(triage.executedCount) /
-                  static_cast<double>(triage.uniqueCount)
-            : 1.0;
-    const bool identical = triage.successMatrixText() ==
-                           sim.successMatrixText();
-    std::printf("simulated %zu of %zu unique cells (%.0f%%), "
-                "%zu replicated from model-equivalent runs\n",
-                triage.executedCount, triage.uniqueCount,
-                100.0 * simulate_fraction, triage.replicatedCells);
-    std::printf("success matrices identical: %s\n",
-                identical ? "yes" : "NO — BUG");
-    if (!identical)
-        return 1;
-
     bench::BenchJson out;
     out.set("bench", std::string("verdict"));
     out.set("grid_unique",
@@ -182,9 +155,6 @@ main(int argc, char **argv)
     out.set("static_decided", static_cast<double>(static_decided));
     out.set("static_undecided",
             static_cast<double>(static_undecided));
-    out.set("triage_simulate_fraction", simulate_fraction);
-    out.set("triage_replicated_cells",
-            static_cast<double>(triage.replicatedCells));
     if (!out.save(json_path))
         return 1;
     return 0;

@@ -125,24 +125,10 @@ usage(const char *prog)
         "no\n"
         "                     simulation), differential (both, "
         "disagreements\n"
-        "                     flagged per cell), triage (model "
-        "first,\n"
-        "                     simulate only the undecided frontier) "
-        "or\n"
-        "                     static (Fig. 9 program analysis beside\n"
-        "                     simulation, disagreements flagged)\n"
-        "  --rebuild-scenarios  build each cell's simulator state "
-        "from scratch\n"
-        "                     instead of forking pooled snapshot "
-        "arenas\n"
-        "                     (byte-identical; for comparison/"
-        "bisection)\n"
-        "  --cold-attacks     run every cell's attack prologue "
-        "instead of\n"
-        "                     restoring warm post-prologue snapshots"
-        "\n"
-        "                     (byte-identical; for comparison/"
-        "bisection)\n"
+        "                     flagged per cell) or static (Fig. 9 "
+        "program\n"
+        "                     analysis beside simulation, "
+        "disagreements flagged)\n"
         "  --variants a,b,c   variants by catalog name "
         "(default: all but Spoiler)\n"
         "  --rob n1,n2,...    sweep ROB sizes\n"
@@ -324,9 +310,9 @@ printSummary(const CampaignReport &report)
                 report.workers, report.cacheHits);
     if (report.modelDecided + report.modelUndecided > 0)
         std::printf("model verdicts: %zu decided, %zu undecided; "
-                    "%zu disagreement(s), %zu replicated cell(s)\n",
+                    "%zu disagreement(s)\n",
                     report.modelDecided, report.modelUndecided,
-                    report.disagreements, report.replicatedCells);
+                    report.disagreements);
 }
 
 bool
@@ -654,10 +640,6 @@ main(int argc, char **argv)
                     verdict::unknownBackendMessage(name).c_str());
                 return 2;
             }
-        } else if (arg == "--rebuild-scenarios") {
-            engine_opts.forkScenarios = false;
-        } else if (arg == "--cold-attacks") {
-            engine_opts.warmAttacks = false;
         } else if (arg == "--variants") {
             // Rows resolve through the ScenarioCatalog, so names
             // and aliases of registered out-of-tree attacks work

@@ -11,7 +11,6 @@
 #include <unordered_set>
 
 #include "attacks/runner.hh"
-#include "attacks/snapshot.hh"
 #include "core/catalog.hh"
 #include "sink.hh"
 #include "verdict/model.hh"
@@ -734,7 +733,6 @@ CampaignReport::merge(const CampaignReport &other,
     modelDecided += other.modelDecided;
     modelUndecided += other.modelUndecided;
     disagreements += other.disagreements;
-    replicatedCells += other.replicatedCells;
     workers = std::max(workers, other.workers);
     // Shard wall-clocks add (they model separate processes); the
     // merged throughput is re-derived from the totals.
@@ -756,7 +754,7 @@ std::string
 backendCacheKey(verdict::VerdictBackend backend,
                 const std::string &key)
 {
-    // Simulator, Differential, Static and Triage all memoize
+    // Simulator, Differential and Static all memoize
     // *simulated* entries, mutually compatible under the bare key
     // (Static's analyzer verdict is an annotation beside the
     // simulation, never cached).  Model entries are predictions, not
@@ -861,21 +859,6 @@ CampaignEngine::run(const ScenarioSpec &spec,
                     const std::vector<OutcomeSink *> &sinks,
                     ShardRange shard) const
 {
-    // Scenario build-path selection for this run (worker threads
-    // read the process-wide mode): fork pooled snapshot arenas by
-    // default, rebuild-from-scratch when the caller wants the
-    // reference path for a byte-identity comparison.
-    const attacks::ScenarioBuildModeGuard buildMode(
-        options_.forkScenarios
-            ? attacks::ScenarioBuildMode::Fork
-            : attacks::ScenarioBuildMode::Rebuild);
-    // Likewise for the second snapshot tier: reuse post-prologue
-    // warm-attack snapshots by default, force every cell to re-run
-    // its prologue when the caller wants the reference path.
-    const attacks::WarmSnapshotModeGuard warmMode(
-        options_.warmAttacks ? attacks::WarmSnapshotMode::Reuse
-                             : attacks::WarmSnapshotMode::Rebuild);
-
     const ExpandedGrid grid = dedupGrid(spec);
     const ShardSelection sel = grid.shard(shard.index, shard.count);
     const unsigned nworkers = workers();
@@ -907,43 +890,12 @@ CampaignEngine::run(const ScenarioSpec &spec,
 
     const verdict::VerdictBackend backend = options_.backend;
 
-    // Triage replication classes: unique positions whose (variant,
-    // config, canonical options) coincide are the same experiment to
-    // the runner (the descriptor's canonicalOptions hook resets
-    // exactly the AttackOptions fields the runner never reads), so
-    // one member's simulation serves the whole class byte-for-byte.
-    // Attacks without the hook form singleton classes.
-    std::vector<std::vector<std::size_t>> classes;
-    if (backend == verdict::VerdictBackend::Triage) {
-        const core::ScenarioCatalog &catalog =
-            core::ScenarioCatalog::instance();
-        std::unordered_map<std::string, std::size_t> classOf;
-        classOf.reserve(sel.uniquePositions.size());
-        for (const std::size_t pos : sel.uniquePositions) {
-            const Scenario &s =
-                grid.expanded[grid.uniqueIndices[pos]];
-            std::string ckey = s.key;
-            const core::AttackDescriptor *d =
-                catalog.findAttack(s.variant);
-            if (d && d->canonicalOptions) {
-                ckey = scenarioKey(s.variant, s.config,
-                                   d->canonicalOptions(s.options));
-            }
-            const auto [it, fresh] =
-                classOf.emplace(std::move(ckey), classes.size());
-            if (fresh)
-                classes.emplace_back();
-            classes[it->second].push_back(pos);
-        }
-    }
-
     const auto t0 = std::chrono::steady_clock::now();
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> cacheHits{0};
     std::atomic<std::size_t> modelDecided{0};
     std::atomic<std::size_t> modelUndecided{0};
     std::atomic<std::size_t> disagreements{0};
-    std::atomic<std::size_t> replicatedCells{0};
     ResultCache *const cache = options_.cache;
 
     // Stream one outcome per expanded grid point the execution at
@@ -1010,29 +962,7 @@ CampaignEngine::run(const ScenarioSpec &spec,
         return j;
     };
 
-    // Simulate @p s with the shared cache under the bare key;
-    // @return true when the result was served from the cache.
-    const auto simulate = [&](const Scenario &s, AttackResult &result,
-                              CpuStats &stats, double &wallMillis) {
-        if (cache) {
-            if (const auto hit = cache->lookup(s.key)) {
-                result = hit->result;
-                stats = hit->stats;
-                cacheHits.fetch_add(1, std::memory_order_relaxed);
-                return true;
-            }
-        }
-        const auto s0 = std::chrono::steady_clock::now();
-        result = attacks::runVariant(s.variant, s.config, s.options,
-                                     stats);
-        wallMillis = millisSince(s0);
-        if (cache)
-            cache->store(s.key, {result, stats});
-        return false;
-    };
-
-    // Simulator / Model / Differential: one unique position per
-    // work item.
+    // One unique position per work item.
     const auto worker = [&]() {
         for (;;) {
             const std::size_t n =
@@ -1074,10 +1004,25 @@ CampaignEngine::run(const ScenarioSpec &spec,
                 continue;
             }
 
+            // Simulate with the shared cache under the bare key.
             AttackResult result;
             CpuStats stats;
             double wallMillis = 0.0;
-            simulate(s, result, stats, wallMillis);
+            std::optional<ResultCache::Entry> hit;
+            if (cache)
+                hit = cache->lookup(s.key);
+            if (hit) {
+                result = hit->result;
+                stats = hit->stats;
+                cacheHits.fetch_add(1, std::memory_order_relaxed);
+            } else {
+                const auto s0 = std::chrono::steady_clock::now();
+                result = attacks::runVariant(s.variant, s.config,
+                                             s.options, stats);
+                wallMillis = millisSince(s0);
+                if (cache)
+                    cache->store(s.key, {result, stats});
+            }
             if (backend == verdict::VerdictBackend::Differential ||
                 backend == verdict::VerdictBackend::Static) {
                 verdict::StaticJudgement sj;
@@ -1103,133 +1048,21 @@ CampaignEngine::run(const ScenarioSpec &spec,
         }
     };
 
-    // Triage: one replication class per work item.  Every member is
-    // judged (the counters below report the model's coverage); the
-    // class is served by a cache hit or one simulated representative
-    // and the rest replicate that entry verbatim.
-    const auto triageWorker = [&]() {
-        for (;;) {
-            const std::size_t n =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (n >= classes.size())
-                return;
-            const std::vector<std::size_t> &members = classes[n];
-
-            std::vector<core::ModelJudgement> judgements;
-            judgements.reserve(members.size());
-            bool conflict = false;
-            bool sawDecided = false;
-            bool decidedLeak = false;
-            for (const std::size_t pos : members) {
-                const Scenario &s =
-                    grid.expanded[grid.uniqueIndices[pos]];
-                judgements.push_back(judged(s));
-                const core::ModelJudgement &j = judgements.back();
-                if (!j.decided())
-                    continue;
-                if (sawDecided && decidedLeak != j.predictsLeak())
-                    conflict = true;
-                sawDecided = true;
-                decidedLeak = j.predictsLeak();
-            }
-
-            // Cache pass: members already memoized emit directly and
-            // the first hit doubles as the class representative.
-            std::vector<std::size_t> missing;
-            std::optional<ResultCache::Entry> have;
-            for (std::size_t m = 0; m < members.size(); ++m) {
-                const std::size_t pos = members[m];
-                const Scenario &s =
-                    grid.expanded[grid.uniqueIndices[pos]];
-                bool cached = false;
-                if (cache) {
-                    if (const auto hit = cache->lookup(s.key)) {
-                        emit(pos, hit->result, hit->stats, 0.0,
-                             &judgements[m], nullptr);
-                        cacheHits.fetch_add(
-                            1, std::memory_order_relaxed);
-                        if (!have)
-                            have = *hit;
-                        cached = true;
-                    }
-                }
-                if (!cached)
-                    missing.push_back(m);
-            }
-            if (missing.empty())
-                continue;
-
-            if (conflict) {
-                // Soundness tripwire: decided verdicts disagreeing
-                // inside one class would mean the canonicalization
-                // folded two genuinely different experiments.
-                // Should be unreachable; simulate every member
-                // individually rather than replicate anything.
-                for (const std::size_t m : missing) {
-                    const std::size_t pos = members[m];
-                    const Scenario &s =
-                        grid.expanded[grid.uniqueIndices[pos]];
-                    AttackResult result;
-                    CpuStats stats;
-                    double wallMillis = 0.0;
-                    simulate(s, result, stats, wallMillis);
-                    emit(pos, result, stats, wallMillis,
-                         &judgements[m], nullptr);
-                }
-                continue;
-            }
-
-            std::size_t first = 0;
-            if (!have) {
-                // Simulate the class representative (first missing
-                // member, stored under its own bare key only —
-                // replicated entries are never stored, so the cache
-                // stays a record of real executions).
-                const std::size_t m = missing.front();
-                const std::size_t pos = members[m];
-                const Scenario &s =
-                    grid.expanded[grid.uniqueIndices[pos]];
-                AttackResult result;
-                CpuStats stats;
-                double wallMillis = 0.0;
-                simulate(s, result, stats, wallMillis);
-                emit(pos, result, stats, wallMillis, &judgements[m],
-                     nullptr);
-                have = ResultCache::Entry{result, stats};
-                first = 1;
-            }
-            for (std::size_t i = first; i < missing.size(); ++i) {
-                const std::size_t m = missing[i];
-                emit(members[m], have->result, have->stats, 0.0,
-                     &judgements[m], nullptr);
-                replicatedCells.fetch_add(
-                    1, std::memory_order_relaxed);
-            }
-        }
-    };
-
-    const std::function<void()> work =
-        backend == verdict::VerdictBackend::Triage
-            ? std::function<void()>(triageWorker)
-            : std::function<void()>(worker);
     if (nworkers <= 1) {
-        work();
+        worker();
     } else {
         std::vector<std::thread> pool;
         pool.reserve(nworkers);
         for (unsigned w = 0; w < nworkers; ++w)
-            pool.emplace_back(work);
+            pool.emplace_back(worker);
         for (std::thread &t : pool)
             t.join();
     }
 
     CampaignFooter footer;
     footer.cacheHits = cacheHits.load(std::memory_order_relaxed);
-    footer.replicatedCells =
-        replicatedCells.load(std::memory_order_relaxed);
-    footer.executedCount = sel.uniquePositions.size() -
-                           footer.cacheHits -
-                           footer.replicatedCells;
+    footer.executedCount =
+        sel.uniquePositions.size() - footer.cacheHits;
     footer.modelDecided =
         modelDecided.load(std::memory_order_relaxed);
     footer.modelUndecided =

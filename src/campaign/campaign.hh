@@ -345,7 +345,7 @@ class ResultCache
 
 /**
  * The ResultCache key a backend's entries live under.  Entries
- * produced by the *simulator* (Simulator, Differential and Triage
+ * produced by the *simulator* (Simulator, Differential and Static
  * backends all simulate what they store) use the bare scenarioKey()
  * — mutually compatible, and compatible with persisted caches, which
  * only ever hold simulated results.  Entries synthesized by the
@@ -442,7 +442,7 @@ struct ScenarioOutcome
     /// @name Verdict-backend annotations (src/verdict/).
     ///
     /// Empty under the plain simulator backend.  Model / Differential
-    /// / Triage fill modelVerdict ("leak" / "blocked" /
+    /// / Static fill modelVerdict ("leak" / "blocked" /
     /// "inapplicable" / "undecided") and its evidence line; the
     /// differential backend additionally sets agreement ("agree" /
     /// "disagree" when the model decided, "undecided" otherwise).
@@ -505,16 +505,12 @@ struct CampaignReport
     /// Unique cells the analytic model decided (leak / blocked /
     /// inapplicable).
     std::size_t modelDecided = 0;
-    /// Unique cells the model left undecided (simulated under the
-    /// triage backend; unchecked under differential).
+    /// Unique cells the model left undecided (unchecked under
+    /// differential).
     std::size_t modelUndecided = 0;
     /// Differential only: unique cells where a decided model verdict
     /// contradicted the simulator's leak bit.
     std::size_t disagreements = 0;
-    /// Triage only: unique cells served by replicating the simulated
-    /// result of an options-canonicalization classmate instead of
-    /// executing (executedCount excludes them).
-    std::size_t replicatedCells = 0;
     /// @}
 
     /// True while outcomes cover only part of the expanded grid.
@@ -582,32 +578,14 @@ class CampaignEngine
         /// re-executed; fresh results are stored back.
         ResultCache *cache = nullptr;
 
-        /// Build each cell's simulator state by forking the pooled
-        /// ScenarioSnapshot arenas (attacks/snapshot.hh) instead of
-        /// reconstructing Memory/PageTable from scratch.  The two
-        /// paths are byte-identical in every timing-free export
-        /// (tests/snapshot_test.cc proves it per golden spec); this
-        /// knob exists for that comparison and for bisecting any
-        /// future divergence, not for production use.
-        bool forkScenarios = true;
-
-        /// Let attack runners restore cached post-prologue machine
-        /// state (warm-attack snapshots, attacks/snapshot.hh)
-        /// instead of re-running predictor training per cell.  Warm
-        /// and cold cells are cycle-identical (tests/snapshot_test.cc
-        /// proves it per golden spec); like forkScenarios, the off
-        /// position exists for that comparison and for bisection.
-        bool warmAttacks = true;
-
         /// How each unique cell gets its verdict (src/verdict/):
-        /// simulate (default), judge analytically, do both and flag
-        /// disagreement, or triage — judge everything, simulate only
-        /// the frontier the model cannot replicate or decide.
-        /// Simulator, Differential and Triage produce byte-identical
-        /// timing-free exports; Model synthesizes results from
-        /// verdicts alone (leak bit = predicted verdict, accuracy
-        /// and counters zero) and is only comparable through the
-        /// verdict columns.
+        /// simulate (default), judge analytically, or simulate and
+        /// flag disagreement with an analytic verdict.  Simulator
+        /// and Differential produce byte-identical timing-free
+        /// exports; Model synthesizes results from verdicts alone
+        /// (leak bit = predicted verdict, accuracy and counters
+        /// zero) and is only comparable through the verdict
+        /// columns.
         verdict::VerdictBackend backend =
             verdict::VerdictBackend::Simulator;
     };

@@ -64,7 +64,6 @@ ReportSink::end(const CampaignFooter &footer)
     report_.modelDecided = footer.modelDecided;
     report_.modelUndecided = footer.modelUndecided;
     report_.disagreements = footer.disagreements;
-    report_.replicatedCells = footer.replicatedCells;
     report_.recomputeCells();
 }
 

@@ -70,7 +70,6 @@ struct CampaignFooter
     std::size_t modelDecided = 0;
     std::size_t modelUndecided = 0;
     std::size_t disagreements = 0;
-    std::size_t replicatedCells = 0;
 };
 
 /** Receives a run's outcomes as workers complete them. */

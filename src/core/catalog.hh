@@ -107,21 +107,20 @@ struct ModelJudgement
  * The analytic-verdict hook of a registered attack: judge a cell
  * from the attack graph alone (src/verdict/model.cc for built-ins).
  * Optional; attacks without the hook are Undecided everywhere, so
- * the differential backend never flags them and the triage backend
- * always simulates them.
+ * the differential backend never flags them.
  */
 using ModelVerdictFn = std::function<ModelJudgement(
     const uarch::CpuConfig &, const attacks::AttackOptions &)>;
 
 /**
- * Triage canonicalization hook: map @p options to the representative
+ * Options canonicalization hook: map @p options to the representative
  * the execute runner actually distinguishes, resetting every
  * AttackOptions field the runner provably never reads to its default
  * value.  Two cells whose (variant, config, canonical options) agree
- * are the same experiment to the runner, so the triage backend
- * simulates one of them and replicates the result.  Optional; absent
- * means no replication for this attack.  CpuConfig is never
- * canonicalized — every CPU knob feeds the simulated core.
+ * are the same experiment to the runner, so the static verdict
+ * backend judges the canonical options.  Optional; absent means the
+ * options are judged as given.  CpuConfig is never canonicalized —
+ * every CPU knob feeds the simulated core.
  */
 using CanonicalOptionsFn = std::function<attacks::AttackOptions(
     const attacks::AttackOptions &)>;
@@ -245,11 +244,11 @@ struct AttackDescriptor
     AttackExecuteFn execute;
 
     /// Judge a cell analytically, next to the execute factory: the
-    /// model/differential/triage backends (src/verdict/) dispatch
+    /// model/differential backends (src/verdict/) dispatch
     /// here.  Optional — see ModelVerdictFn for absent semantics.
     ModelVerdictFn modelVerdict;
 
-    /// Canonicalize AttackOptions for triage replication (see
+    /// Canonicalize AttackOptions before static judgement (see
     /// CanonicalOptionsFn).  Optional.
     CanonicalOptionsFn canonicalOptions;
 

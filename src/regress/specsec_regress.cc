@@ -83,19 +83,17 @@ usage(const char *prog)
         "(re)writes the\n"
         "                     disagreement pins "
         "golden/differential-<spec>.json and\n"
-        "                     golden/differential-static-<spec>.json\n"
+        "                     golden/differential-static-<spec>.json "
+        "of every spec\n"
+        "                     that diverges (a missing pin file "
+        "pins none)\n"
         "  --check            compare a fresh run against goldens "
         "(default)\n"
         "  --backend B        with --check: simulator (default), "
         "differential\n"
         "                     (also gate model-vs-simulator "
         "disagreements against\n"
-        "                     the committed pins), triage (model "
-        "first, simulate\n"
-        "                     only the undecided frontier; matrices "
-        "must still\n"
-        "                     match the goldens byte-for-byte) or "
-        "static (gate\n"
+        "                     the committed pins) or static (gate\n"
         "                     analyzer-vs-simulator disagreements "
         "against the\n"
         "                     differential-static-<spec>.json pins)\n"
@@ -336,13 +334,16 @@ mergeShards(const NamedSpec &named, const std::string &shard_dir)
     return merged;
 }
 
-/** Pin-file basename prefix for a judging backend's divergences. */
-const char *
-pinPrefix(verdict::VerdictBackend backend)
+/** Pin file of a judging backend's divergences for @p spec. */
+std::string
+pinPath(const std::string &golden_dir,
+        verdict::VerdictBackend backend, const std::string &spec)
 {
-    return backend == verdict::VerdictBackend::Static
-               ? "differential-static-"
-               : "differential-";
+    return golden_dir +
+           (backend == verdict::VerdictBackend::Static
+                ? "/differential-static-"
+                : "/differential-") +
+           spec + ".json";
 }
 
 /**
@@ -390,8 +391,8 @@ freshDisagreements(const NamedSpec &named,
 /**
  * The differential gate: compare the run's disagreements against
  * the committed pins in golden/differential-<spec>.json.  A missing
- * pin file is only an error when the run actually disagrees
- * somewhere (pre-pin goldens stay checkable).
+ * pin file is an empty pin set (--record writes one only for a spec
+ * that diverges), so a new divergence reports as drift.
  */
 void
 checkDisagreements(const NamedSpec &named,
@@ -403,9 +404,8 @@ checkDisagreements(const NamedSpec &named,
 {
     const verdict::DisagreementSet fresh =
         freshDisagreements(named, report, backend);
-    const std::string pin_path = golden_dir + "/" +
-                                 pinPrefix(backend) + named.name +
-                                 ".json";
+    const std::string pin_path =
+        pinPath(golden_dir, backend, named.name);
 
     verdict::DisagreementSet pinned;
     pinned.spec = named.name;
@@ -423,13 +423,6 @@ checkDisagreements(const NamedSpec &named,
             return;
         }
         pinned = *parsed;
-    } else if (!fresh.disagreements.empty()) {
-        std::fprintf(stderr,
-                     "%s: missing disagreement pins %s (run "
-                     "specsec_regress --record)\n",
-                     named.name.c_str(), pin_path.c_str());
-        status.io_error = true;
-        return;
     }
 
     const std::vector<std::string> drift =
@@ -460,6 +453,48 @@ checkDisagreements(const NamedSpec &named,
         std::printf("         artifacts under %s/\n",
                     artifact_dir.c_str());
     }
+}
+
+/**
+ * Record a judging backend's divergences for one spec.  Only a spec
+ * that diverges gets a pin file and a stale one is removed
+ * otherwise, so a re-record into a scratch directory reproduces the
+ * committed set file-for-file (the CI schema-drift job compares
+ * both directions).  @return false on an I/O error.
+ */
+bool
+recordPins(const NamedSpec &named,
+           const campaign::CampaignReport &report,
+           verdict::VerdictBackend backend,
+           const std::string &golden_dir)
+{
+    const verdict::DisagreementSet fresh =
+        freshDisagreements(named, report, backend);
+    const std::string pin_path =
+        pinPath(golden_dir, backend, named.name);
+    const char *what = backend == verdict::VerdictBackend::Static
+                           ? "static divergence(s)"
+                           : "divergence(s)";
+    if (fresh.disagreements.empty()) {
+        std::error_code ec;
+        std::filesystem::remove(pin_path, ec);
+        if (ec) {
+            std::fprintf(stderr, "cannot remove %s: %s\n",
+                         pin_path.c_str(), ec.message().c_str());
+            return false;
+        }
+        std::printf("pinned   %-28s    0 %s\n", named.name.c_str(),
+                    what);
+        return true;
+    }
+    if (!tool::writeTextFile(pin_path,
+                             verdict::disagreementJson(fresh))) {
+        std::fprintf(stderr, "cannot write %s\n", pin_path.c_str());
+        return false;
+    }
+    std::printf("pinned   %-28s %4zu %s -> %s\n", named.name.c_str(),
+                fresh.disagreements.size(), what, pin_path.c_str());
+    return true;
 }
 
 } // namespace
@@ -586,7 +621,7 @@ main(int argc, char **argv)
                          "--backend model cannot gate goldens: the "
                          "model synthesizes verdicts and the golden "
                          "matrices pin the simulator -- use "
-                         "differential or triage\n");
+                         "differential\n");
             return 2;
         }
         if (sharded ||
@@ -846,58 +881,23 @@ main(int argc, char **argv)
                         report.executedCount, report.cacheHits,
                         golden_path.c_str());
 
-            // The disagreement pins ride along with every record:
-            // one differential-<spec>.json per spec, empty list
-            // included, so a re-record into a scratch directory
-            // reproduces the committed set byte-for-byte (the CI
-            // schema-drift job compares both directions).
-            const verdict::DisagreementSet fresh =
-                freshDisagreements(
-                    named, report,
-                    verdict::VerdictBackend::Differential);
-            const std::string pin_path =
-                golden_dir + "/differential-" + named.name +
-                ".json";
-            if (!tool::writeTextFile(
-                    pin_path, verdict::disagreementJson(fresh))) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             pin_path.c_str());
-                status.io_error = true;
-                continue;
-            }
-            std::printf("pinned   %-28s %4zu divergence(s) -> %s\n",
-                        named.name.c_str(),
-                        fresh.disagreements.size(),
-                        pin_path.c_str());
-
-            // Static-analyzer pins ride along too: re-judge the same
-            // grid under the static backend (every simulation is a
-            // cache hit from the sweep above) and pin its
-            // divergences next to the model's.
+            // The disagreement pins ride along with every record.
+            // Static-analyzer pins too: re-judge the same grid under
+            // the static backend (every simulation is a cache hit
+            // from the sweep above) and pin its divergences next to
+            // the model's.
             campaign::CampaignEngine::Options static_opts =
                 engine_opts;
             static_opts.backend = verdict::VerdictBackend::Static;
             const campaign::CampaignReport static_report =
                 campaign::CampaignEngine(static_opts).run(named.spec);
-            const verdict::DisagreementSet static_fresh =
-                freshDisagreements(named, static_report,
-                                   verdict::VerdictBackend::Static);
-            const std::string static_pin_path =
-                golden_dir + "/differential-static-" + named.name +
-                ".json";
-            if (!tool::writeTextFile(
-                    static_pin_path,
-                    verdict::disagreementJson(static_fresh))) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             static_pin_path.c_str());
+            if (!recordPins(named, report,
+                            verdict::VerdictBackend::Differential,
+                            golden_dir) ||
+                !recordPins(named, static_report,
+                            verdict::VerdictBackend::Static,
+                            golden_dir))
                 status.io_error = true;
-                continue;
-            }
-            std::printf("pinned   %-28s %4zu static divergence(s) "
-                        "-> %s\n",
-                        named.name.c_str(),
-                        static_fresh.disagreements.size(),
-                        static_pin_path.c_str());
             continue;
         }
 
@@ -907,14 +907,6 @@ main(int argc, char **argv)
             backend == verdict::VerdictBackend::Static)
             checkDisagreements(named, report, backend, golden_dir,
                                artifact_dir, status);
-        else if (backend == verdict::VerdictBackend::Triage)
-            std::printf("triage   %-28s %zu decided, %zu "
-                        "undecided; %zu simulated, %zu "
-                        "replicated, %zu cached\n",
-                        named.name.c_str(), report.modelDecided,
-                        report.modelUndecided,
-                        report.executedCount,
-                        report.replicatedCells, report.cacheHits);
     }
 
     if (!cache_file.empty() && mode != Mode::Merge) {

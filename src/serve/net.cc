@@ -85,9 +85,11 @@ parseEndpoint(const std::string &text, Endpoint &endpoint,
 }
 
 Conn::Conn(Conn &&other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_))
+    : fd_(other.fd_), buffer_(std::move(other.buffer_)),
+      scanned_(other.scanned_), frameTooLong_(other.frameTooLong_)
 {
     other.fd_ = -1;
+    other.scanned_ = 0;
 }
 
 Conn &
@@ -97,7 +99,10 @@ Conn::operator=(Conn &&other) noexcept
         close();
         fd_ = other.fd_;
         buffer_ = std::move(other.buffer_);
+        scanned_ = other.scanned_;
+        frameTooLong_ = other.frameTooLong_;
         other.fd_ = -1;
+        other.scanned_ = 0;
     }
     return *this;
 }
@@ -106,12 +111,24 @@ bool
 Conn::readLine(std::string &line)
 {
     for (;;) {
-        const std::size_t nl = buffer_.find('\n');
+        // Only bytes appended since the last scan can hold the
+        // newline, so a long frame is scanned once, not per recv.
+        const std::size_t nl = buffer_.find('\n', scanned_);
+        const std::size_t len =
+            nl != std::string::npos ? nl : buffer_.size();
+        if (len > kMaxLineBytes) {
+            frameTooLong_ = true;
+            buffer_.clear();
+            scanned_ = 0;
+            return false;
+        }
         if (nl != std::string::npos) {
             line.assign(buffer_, 0, nl);
             buffer_.erase(0, nl + 1);
+            scanned_ = 0;
             return true;
         }
+        scanned_ = buffer_.size();
         if (fd_ < 0)
             return false;
         char chunk[4096];
@@ -169,6 +186,7 @@ Conn::close()
         fd_ = -1;
     }
     buffer_.clear();
+    scanned_ = 0;
 }
 
 Conn

@@ -18,11 +18,20 @@
 #ifndef SPECSEC_SERVE_NET_HH
 #define SPECSEC_SERVE_NET_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace specsec::serve::net
 {
+
+/**
+ * The longest frame readLine() accepts, excluding its '\n'.  The
+ * largest real message, a submit of a 6912-key sweep, is under
+ * 1 MB; the cap only bounds what a misbehaving peer can make the
+ * reader buffer.
+ */
+inline constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
 
 /** "HOST:PORT" as used by --connect / serve --host/--port. */
 struct Endpoint
@@ -62,9 +71,15 @@ class Conn
      * Block until one complete line arrives; @p line receives it
      * without the trailing '\n'.  @return false on EOF or a socket
      * error (including a torn connection); bytes after the last
-     * newline at EOF — a truncated frame — are discarded.
+     * newline at EOF — a truncated frame — are discarded.  Also
+     * false, with frameTooLong() set, once a frame exceeds
+     * kMaxLineBytes; the connection is then out of sync and should
+     * be dropped.
      */
     bool readLine(std::string &line);
+
+    /** True once readLine() refused a frame over kMaxLineBytes. */
+    bool frameTooLong() const { return frameTooLong_; }
 
     /** Write @p line plus '\n'; false when the peer is gone. */
     bool writeLine(const std::string &line);
@@ -81,6 +96,8 @@ class Conn
   private:
     int fd_ = -1;
     std::string buffer_; ///< bytes read past the last returned line
+    std::size_t scanned_ = 0; ///< prefix of buffer_ holding no '\n'
+    bool frameTooLong_ = false;
 };
 
 /**

@@ -225,10 +225,18 @@ Server::handleConnection(std::shared_ptr<net::Conn> conn)
     // Handshake first: anything else on a fresh connection is
     // rejected and the connection dropped, so a client built from
     // a different field registry can never receive misparsable
-    // result frames.
+    // result frames.  A frame over the length cap is refused the
+    // same way: the stream is out of sync after it.
+    const auto refuseOverlong = [&conn] {
+        if (conn->frameTooLong())
+            conn->writeLine(errorLine(
+                "frame exceeds " +
+                std::to_string(net::kMaxLineBytes) +
+                " bytes; closing connection"));
+    };
     std::string line;
     if (!conn->readLine(line))
-        return;
+        return refuseOverlong();
     ParsedMsg first = parseLine(line);
     if (first.type != MsgType::Hello) {
         conn->writeLine(errorLine(
@@ -317,6 +325,7 @@ Server::handleConnection(std::shared_ptr<net::Conn> conn)
             break;
         }
     }
+    refuseOverlong();
 }
 
 } // namespace specsec::serve

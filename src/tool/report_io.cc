@@ -71,8 +71,6 @@ shardReportJson(const campaign::CampaignReport &report)
     os << "\"modelDecided\": " << report.modelDecided << ",\n";
     os << "\"modelUndecided\": " << report.modelUndecided << ",\n";
     os << "\"disagreements\": " << report.disagreements << ",\n";
-    os << "\"replicatedCells\": " << report.replicatedCells
-       << ",\n";
     os << "\"workers\": " << report.workers << ",\n";
     os << "\"wallMillis\": " << exactNum(report.wallMillis)
        << ",\n";
@@ -170,8 +168,6 @@ parseShardReportJson(const std::string &text, std::string *error)
             report.modelUndecided = cur.parseU64();
         } else if (key == "disagreements") {
             report.disagreements = cur.parseU64();
-        } else if (key == "replicatedCells") {
-            report.replicatedCells = cur.parseU64();
         } else if (key == "workers") {
             report.workers = cur.parseUnsigned();
         } else if (key == "wallMillis") {

@@ -87,7 +87,7 @@ inline constexpr unsigned kAccuracy = 1u << 2;
 /// A verdict-backend annotation (model_verdict / agreement /
 /// evidence): empty under the plain simulator backend, so the
 /// default exports exclude it and stay byte-identical across
-/// backends — the triage acceptance criterion.  Opt in with the
+/// backends.  Opt in with the
 /// excludeMask emitter overloads (drop kVerdict from the mask).
 inline constexpr unsigned kVerdict = 1u << 3;
 /// @}

@@ -12,7 +12,6 @@ backendName(VerdictBackend backend)
       case VerdictBackend::Simulator: return "simulator";
       case VerdictBackend::Model: return "model";
       case VerdictBackend::Differential: return "differential";
-      case VerdictBackend::Triage: return "triage";
       case VerdictBackend::Static: return "static";
     }
     return "unknown";
@@ -24,7 +23,6 @@ backendNames()
     return {backendName(VerdictBackend::Simulator),
             backendName(VerdictBackend::Model),
             backendName(VerdictBackend::Differential),
-            backendName(VerdictBackend::Triage),
             backendName(VerdictBackend::Static)};
 }
 
@@ -34,8 +32,7 @@ parseBackend(const std::string &name, VerdictBackend &out)
     const std::string key = core::foldName(name);
     for (const VerdictBackend backend :
          {VerdictBackend::Simulator, VerdictBackend::Model,
-          VerdictBackend::Differential, VerdictBackend::Triage,
-          VerdictBackend::Static}) {
+          VerdictBackend::Differential, VerdictBackend::Static}) {
         if (key == core::foldName(backendName(backend))) {
             out = backend;
             return true;
@@ -47,7 +44,7 @@ parseBackend(const std::string &name, VerdictBackend &out)
 std::string
 unknownBackendMessage(const std::string &name)
 {
-    // A closed five-name set: when nothing is close enough to
+    // A closed four-name set: when nothing is close enough to
     // suggest, list every valid backend instead of answering bare.
     std::vector<std::string> suggestions =
         core::suggestNames(backendNames(), name);

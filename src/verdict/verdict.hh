@@ -4,13 +4,10 @@
  *
  * The simulator is the cycle-accurate ground truth; the model backend
  * (model.hh) decides cells analytically on the attack graph alone.
- * Differential runs both and flags per-cell disagreement; Triage runs
- * the model over the whole grid first and simulates only the frontier
- * the model cannot decide (plus one representative per class of cells
- * that are provably identical to the runner).  Static judges cells
- * from the Fig. 9 program analyzer over the attack's static program
- * (static_verdict.hh) and flags disagreement with the simulator like
- * Differential does.
+ * Differential runs both and flags per-cell disagreement.  Static
+ * judges cells from the Fig. 9 program analyzer over the attack's
+ * static program (static_verdict.hh) and flags disagreement with the
+ * simulator like Differential does.
  */
 
 #ifndef SPECSEC_VERDICT_VERDICT_HH
@@ -29,7 +26,6 @@ enum class VerdictBackend : std::uint8_t
     Simulator = 0,    ///< cycle-accurate execution only (default)
     Model = 1,        ///< analytic graph model only, no simulation
     Differential = 2, ///< both; disagreements are flagged per cell
-    Triage = 3,       ///< model first, simulate only the frontier
     Static = 4,       ///< Fig. 9 program analysis beside simulation
 };
 

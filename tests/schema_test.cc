@@ -38,6 +38,7 @@
 #include "core/catalog.hh"
 #include "lint/lint.hh"
 #include "regress/golden.hh"
+#include "regress/specs.hh"
 #include "tool/report.hh"
 #include "tool/report_io.hh"
 #include "tool/schema.hh"
@@ -234,7 +235,6 @@ constexpr const char *kShardReportBodyFixture =
 "modelDecided": 0,
 "modelUndecided": 0,
 "disagreements": 0,
-"replicatedCells": 0,
 "workers": 1,
 "wallMillis": 3.5,
 "outcomes": [
@@ -321,7 +321,6 @@ TEST(SchemaBytes, CommittedGoldensRoundTripByteIdentically)
     // the in-process version of the CI schema-drift job.
     std::size_t checked = 0;
     std::size_t with_accuracy = 0;
-    std::size_t pin_files = 0;
     std::size_t pinned_divergences = 0;
     std::size_t lint_files = 0;
     for (const auto &entry :
@@ -344,13 +343,23 @@ TEST(SchemaBytes, CommittedGoldensRoundTripByteIdentically)
         }
         if (stem.rfind("differential-", 0) == 0) {
             // Disagreement pins round-trip through their own
-            // serializer with the same byte-identity contract.
+            // serializer with the same byte-identity contract, name
+            // a registered spec in their file name, and exist only
+            // for a spec that diverges (--record writes no empty
+            // pin file).
             const auto pins =
                 verdict::parseDisagreementJson(text, &error);
             ASSERT_TRUE(pins) << entry.path() << ": " << error;
             EXPECT_EQ(verdict::disagreementJson(*pins), text)
                 << entry.path();
-            ++pin_files;
+            EXPECT_TRUE(regress::findSpec(pins->spec))
+                << entry.path();
+            const std::string json = pins->spec + ".json";
+            EXPECT_TRUE(stem == "differential-" + json ||
+                        stem == "differential-static-" + json)
+                << entry.path();
+            EXPECT_GE(pins->disagreements.size(), 1u)
+                << entry.path();
             pinned_divergences += pins->disagreements.size();
             continue;
         }
@@ -368,10 +377,8 @@ TEST(SchemaBytes, CommittedGoldensRoundTripByteIdentically)
     // The accuracy-golden migration landed: at least one committed
     // golden pins accuracy values under a nonzero tolerance.
     EXPECT_GE(with_accuracy, 1u);
-    // The differential-backend migration landed: every matrix
-    // golden has a model pin file AND a static pin file, and at
-    // least one known model-vs-simulator divergence is documented.
-    EXPECT_EQ(pin_files, 2 * checked);
+    // The differential-backend migration landed: at least one known
+    // model-vs-simulator divergence is documented.
     EXPECT_GE(pinned_divergences, 1u);
     // The lint migration landed: one lint pin per catalog attack
     // with a static program.

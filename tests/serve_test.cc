@@ -6,7 +6,8 @@
  * byte identity through the sink contract, the shared cache
  * (warm second submit, cache-get/put round trip), protocol
  * robustness (malformed and truncated request lines answered
- * with error{} on a surviving connection; a client vanishing
+ * with error{} on a surviving connection; an over-long frame
+ * refused and its connection dropped; a client vanishing
  * mid-stream leaving the daemon healthy), and the JSONL resume
  * planner's accept/trim/refuse cases.
  */
@@ -235,6 +236,51 @@ TEST(Serve, MalformedRequestGetsErrorAndConnectionSurvives)
         << reply.error;
     ASSERT_TRUE(conn.writeLine(serve::statsRequestLine()));
     ASSERT_TRUE(conn.readLine(line));
+    EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Stats);
+}
+
+TEST(Serve, OverlongFrameIsRefusedAndDaemonKeepsServing)
+{
+    TestServer daemon;
+    serve::net::Conn bystander = rawHandshaked(daemon.endpoint());
+    serve::net::Conn flooder = rawHandshaked(daemon.endpoint());
+
+    // A frame of exactly the cap is read (and rejected as a bad
+    // request) on a connection that survives.
+    std::string line;
+    std::string flood(serve::net::kMaxLineBytes, 'x');
+    ASSERT_TRUE(flooder.writeLine(flood));
+    ASSERT_TRUE(flooder.readLine(line));
+    EXPECT_NE(line.find("bad request"), std::string::npos) << line;
+
+    // One byte past the cap with no newline: the daemon must stop
+    // buffering, answer error{} and drop the connection.  Exactly
+    // cap + 1 bytes, so the daemon has consumed everything sent
+    // and its close cannot reset the connection before the reply
+    // arrives.
+    flood += 'x';
+    std::size_t off = 0;
+    while (off < flood.size()) {
+        const ssize_t n =
+            ::send(flooder.fd(), flood.data() + off,
+                   flood.size() - off, MSG_NOSIGNAL);
+        ASSERT_GT(n, 0);
+        off += static_cast<std::size_t>(n);
+    }
+    ASSERT_TRUE(flooder.readLine(line));
+    const serve::ParsedMsg reply = serve::parseLine(line);
+    EXPECT_EQ(reply.type, serve::MsgType::Error);
+    EXPECT_NE(reply.error.find("frame exceeds"), std::string::npos)
+        << reply.error;
+    EXPECT_FALSE(flooder.readLine(line)); // dropped
+
+    // Other clients, connected before or after, are unaffected.
+    ASSERT_TRUE(bystander.writeLine(serve::statsRequestLine()));
+    ASSERT_TRUE(bystander.readLine(line));
+    EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Stats);
+    serve::net::Conn late = rawHandshaked(daemon.endpoint());
+    ASSERT_TRUE(late.writeLine(serve::statsRequestLine()));
+    ASSERT_TRUE(late.readLine(line));
     EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Stats);
 }
 

@@ -26,7 +26,18 @@ using attacks::Layout;
 using attacks::Scenario;
 using attacks::ScenarioBuildMode;
 using attacks::ScenarioBuildModeGuard;
+using attacks::WarmSnapshotMode;
+using attacks::WarmSnapshotModeGuard;
 using uarch::kPageSize;
+
+/** Run @p named on a fresh engine under the caller's snapshot modes. */
+campaign::CampaignReport
+runSpec(const regress::NamedSpec &named, unsigned workers)
+{
+    campaign::CampaignEngine::Options opts;
+    opts.workers = workers;
+    return campaign::CampaignEngine(opts).run(named.spec);
+}
 
 TEST(Snapshot, MemoryRezeroRestoresConstructionImage)
 {
@@ -132,11 +143,27 @@ TEST(Snapshot, ForkPathIsExercisedUnderForkMode)
     EXPECT_EQ(attacks::scenarioForkStats().forked, forkedBefore);
 }
 
+TEST(Snapshot, EngineRunHonorsTheCallersBuildMode)
+{
+    // The snapshot modes are process-wide: an engine run inside a
+    // caller's Rebuild guard must build every cell from scratch
+    // rather than switch the process back to forking.
+    const regress::NamedSpec &named =
+        regress::registeredSpecs().front();
+    const ScenarioBuildModeGuard rebuild(ScenarioBuildMode::Rebuild);
+    const attacks::ScenarioForkStats before =
+        attacks::scenarioForkStats();
+    runSpec(named, 2);
+    const attacks::ScenarioForkStats after =
+        attacks::scenarioForkStats();
+    EXPECT_GT(after.rebuilt, before.rebuilt) << named.name;
+    EXPECT_EQ(after.forked, before.forked) << named.name;
+}
+
 TEST(Snapshot, WarmSnapshotReuseHitsAfterFirstBuild)
 {
     attacks::clearWarmSnapshots();
-    const attacks::WarmSnapshotModeGuard warm(
-        attacks::WarmSnapshotMode::Reuse);
+    const WarmSnapshotModeGuard warm(WarmSnapshotMode::Reuse);
     const uarch::CpuConfig config;
     attacks::AttackOptions opt;
     opt.secretLen = 4;
@@ -169,8 +196,7 @@ TEST(Snapshot, WarmSnapshotReuseHitsAfterFirstBuild)
 TEST(Snapshot, WarmRebuildModeBypassesTheCache)
 {
     attacks::clearWarmSnapshots();
-    const attacks::WarmSnapshotModeGuard rebuild(
-        attacks::WarmSnapshotMode::Rebuild);
+    const WarmSnapshotModeGuard rebuild(WarmSnapshotMode::Rebuild);
     const uarch::CpuConfig config;
     attacks::AttackOptions opt;
     opt.secretLen = 4;
@@ -220,79 +246,59 @@ TEST(Snapshot, WarmAttackKeySeparatesTrainingRelevantState)
               base);
 }
 
-TEST(Snapshot, WarmMatchesColdOnEveryGoldenSpec)
+/**
+ * The acceptance bar for both snapshot tiers: every golden spec,
+ * run once under the @p build / @p warm reference modes, must give
+ * byte-identical timing-free exports when re-run with arena forking
+ * and warm-snapshot reuse at one, two and eight workers.  Any
+ * divergence means a pooled arena or a restored prologue leaked
+ * state between cells.
+ */
+void
+expectForkedWarmMatches(ScenarioBuildMode build, WarmSnapshotMode warm)
 {
-    // Second acceptance bar: warm-attack prologue reuse must be
-    // invisible in every export.  The cold reference disables both
-    // arena forking and warm snapshots; the warm runs enable both,
-    // at one, two and eight workers.
-    attacks::clearWarmSnapshots();
     for (const regress::NamedSpec &named :
          regress::registeredSpecs()) {
-        campaign::CampaignEngine::Options coldOpts;
-        coldOpts.workers = 1;
-        coldOpts.forkScenarios = false;
-        coldOpts.warmAttacks = false;
-        const campaign::CampaignReport reference =
-            campaign::CampaignEngine(coldOpts).run(named.spec);
-        const std::string referenceJsonl =
-            tool::campaignJsonl(reference, false);
-        const std::string referenceMatrix =
-            reference.successMatrixText();
+        std::string referenceJsonl, referenceMatrix;
+        {
+            const ScenarioBuildModeGuard buildGuard(build);
+            const WarmSnapshotModeGuard warmGuard(warm);
+            const campaign::CampaignReport reference =
+                runSpec(named, 1);
+            referenceJsonl = tool::campaignJsonl(reference, false);
+            referenceMatrix = reference.successMatrixText();
+        }
 
+        const ScenarioBuildModeGuard fork(ScenarioBuildMode::Fork);
+        const WarmSnapshotModeGuard reuse(WarmSnapshotMode::Reuse);
         for (const unsigned workers : {1u, 2u, 8u}) {
-            campaign::CampaignEngine::Options warmOpts;
-            warmOpts.workers = workers;
-            warmOpts.forkScenarios = true;
-            warmOpts.warmAttacks = true;
-            const campaign::CampaignReport warmed =
-                campaign::CampaignEngine(warmOpts).run(named.spec);
-            EXPECT_EQ(tool::campaignJsonl(warmed, false),
+            const campaign::CampaignReport run =
+                runSpec(named, workers);
+            EXPECT_EQ(tool::campaignJsonl(run, false),
                       referenceJsonl)
                 << named.name << " diverged at workers="
                 << workers;
-            EXPECT_EQ(warmed.successMatrixText(), referenceMatrix)
+            EXPECT_EQ(run.successMatrixText(), referenceMatrix)
                 << named.name << " matrix diverged at workers="
                 << workers;
         }
     }
+}
+
+TEST(Snapshot, WarmMatchesColdOnEveryGoldenSpec)
+{
+    // The cold reference disables both arena forking and warm
+    // snapshots.
+    attacks::clearWarmSnapshots();
+    expectForkedWarmMatches(ScenarioBuildMode::Rebuild,
+                            WarmSnapshotMode::Rebuild);
     attacks::clearWarmSnapshots();
 }
 
 TEST(Snapshot, ForkMatchesRebuildOnEveryGoldenSpec)
 {
-    // The acceptance bar: for every spec the golden regression
-    // suite pins, the fork path's timing-free exports are
-    // byte-identical to the rebuild path's, at one, two and eight
-    // workers.  Any divergence here means a pooled arena leaked
-    // state between cells.
-    for (const regress::NamedSpec &named :
-         regress::registeredSpecs()) {
-        campaign::CampaignEngine::Options rebuildOpts;
-        rebuildOpts.workers = 1;
-        rebuildOpts.forkScenarios = false;
-        const campaign::CampaignReport reference =
-            campaign::CampaignEngine(rebuildOpts).run(named.spec);
-        const std::string referenceJsonl =
-            tool::campaignJsonl(reference, false);
-        const std::string referenceMatrix =
-            reference.successMatrixText();
-
-        for (const unsigned workers : {1u, 2u, 8u}) {
-            campaign::CampaignEngine::Options forkOpts;
-            forkOpts.workers = workers;
-            forkOpts.forkScenarios = true;
-            const campaign::CampaignReport forked =
-                campaign::CampaignEngine(forkOpts).run(named.spec);
-            EXPECT_EQ(tool::campaignJsonl(forked, false),
-                      referenceJsonl)
-                << named.name << " diverged at workers="
-                << workers;
-            EXPECT_EQ(forked.successMatrixText(), referenceMatrix)
-                << named.name << " matrix diverged at workers="
-                << workers;
-        }
-    }
+    expectForkedWarmMatches(ScenarioBuildMode::Rebuild,
+                            WarmSnapshotMode::Reuse);
 }
 
 } // namespace

@@ -3,8 +3,7 @@
  * Tests for the verdict subsystem (src/verdict/): the analytic
  * model's judgements against the simulator, strategy-4 semantics on
  * degenerate and OR-join graphs, backend name parsing, cross-backend
- * cache isolation, the differential pin format, and the triage
- * backend's byte-identity + strictly-fewer-simulations contract.
+ * cache isolation, and the differential pin format.
  */
 
 #include <gtest/gtest.h>
@@ -171,16 +170,14 @@ TEST(VerdictBackend, ParseAcceptsFoldedNames)
     EXPECT_EQ(b, VerdictBackend::Model);
     EXPECT_TRUE(verdict::parseBackend("Differential", b));
     EXPECT_EQ(b, VerdictBackend::Differential);
-    EXPECT_TRUE(verdict::parseBackend("tri-age", b));
-    EXPECT_EQ(b, VerdictBackend::Triage);
-    EXPECT_TRUE(verdict::parseBackend("STATIC", b));
+    EXPECT_TRUE(verdict::parseBackend("STA-TIC", b));
     EXPECT_EQ(b, VerdictBackend::Static);
 
     EXPECT_FALSE(verdict::parseBackend("hardware", b));
     EXPECT_FALSE(verdict::parseBackend("", b));
 
     const auto names = verdict::backendNames();
-    ASSERT_EQ(names.size(), 5u);
+    ASSERT_EQ(names.size(), 4u);
     for (const std::string &name : names) {
         EXPECT_TRUE(verdict::parseBackend(name, b)) << name;
         EXPECT_EQ(verdict::backendName(b), name);
@@ -265,12 +262,12 @@ TEST(VerdictCache, ModelEntriesNeverSatisfySimulatorLookups)
     const std::string key = scenarioKey(
         AttackVariant::SpectreV1, CpuConfig{}, AttackOptions{});
 
-    // Simulator, differential and triage share the bare key (they
+    // Simulator, differential and static share the bare key (they
     // all simulate what they store); model keys are tagged.
     EXPECT_EQ(backendCacheKey(VerdictBackend::Simulator, key), key);
     EXPECT_EQ(backendCacheKey(VerdictBackend::Differential, key),
               key);
-    EXPECT_EQ(backendCacheKey(VerdictBackend::Triage, key), key);
+    EXPECT_EQ(backendCacheKey(VerdictBackend::Static, key), key);
     const std::string model_key =
         backendCacheKey(VerdictBackend::Model, key);
     EXPECT_NE(model_key, key);
@@ -369,59 +366,6 @@ TEST(Differential, JsonRoundTripsAndComparesByKey)
         verdict::parseDisagreementJson("{\"bogus\": 1}", &error)
             .has_value());
     EXPECT_FALSE(error.empty());
-}
-
-// ---------------------------------------------------------------
-// The triage contract over every committed golden spec: exports
-// byte-identical to the simulator backend, strictly fewer cells
-// simulated in aggregate, honest per-spec counters.
-
-TEST(Triage, ByteIdenticalExportsWithStrictlyFewerSimulations)
-{
-    std::size_t sim_total = 0, triage_total = 0;
-    std::size_t replicated_total = 0;
-    for (const regress::NamedSpec &named :
-         regress::registeredSpecs()) {
-        CampaignEngine::Options sim_opts;
-        sim_opts.workers = 1;
-        const CampaignReport sim =
-            CampaignEngine(sim_opts).run(named.spec);
-
-        CampaignEngine::Options triage_opts;
-        triage_opts.workers = 1;
-        triage_opts.backend = verdict::VerdictBackend::Triage;
-        const CampaignReport triage =
-            CampaignEngine(triage_opts).run(named.spec);
-
-        // The acceptance bar: timing-free exports byte-identical.
-        EXPECT_EQ(tool::campaignJson(triage, false),
-                  tool::campaignJson(sim, false))
-            << named.name;
-        EXPECT_EQ(tool::campaignCsv(triage, false),
-                  tool::campaignCsv(sim, false))
-            << named.name;
-
-        // Executed + cached + replicated covers the unique grid.
-        EXPECT_EQ(triage.executedCount + triage.cacheHits +
-                      triage.replicatedCells,
-                  triage.uniqueCount)
-            << named.name;
-        EXPECT_LE(triage.executedCount, sim.executedCount)
-            << named.name;
-
-        // Every cell carries a model verdict annotation.
-        EXPECT_EQ(triage.modelDecided + triage.modelUndecided,
-                  triage.uniqueCount)
-            << named.name;
-
-        sim_total += sim.executedCount;
-        triage_total += triage.executedCount;
-        replicated_total += triage.replicatedCells;
-    }
-    // Strictly fewer simulator executions across the suite, carried
-    // by the option-redundant specs (table2-industry and friends).
-    EXPECT_LT(triage_total, sim_total);
-    EXPECT_GT(replicated_total, 0u);
 }
 
 TEST(Differential, GoldenSpecsOnlyDisagreeWherePinned)
