@@ -519,11 +519,8 @@ statsMain(int argc, char **argv)
                 stats.connections, stats.requests, stats.executed,
                 stats.cacheHits, stats.cacheSize);
     std::printf("forked:      %zu\nrebuilt:     %zu\n"
-                "pooled:      %zu\nwarmHits:    %zu\n"
-                "warmMisses:  %zu\nwarmEntries: %zu\n",
-                stats.forked, stats.rebuilt, stats.pooledArenas,
-                stats.warmHits, stats.warmMisses,
-                stats.warmEntries);
+                "pooled:      %zu\n",
+                stats.forked, stats.rebuilt, stats.pooledArenas);
     std::printf("modelDecided:      %zu\n"
                 "modelUndecided:    %zu\n"
                 "modelDisagreements: %zu\n",

@@ -6,9 +6,8 @@
  * execution moves through:
  *
  *   - Build:    Scenario construction (arena acquire + Cpu build)
- *   - Prologue: attack preparation reusable across cells (secret
- *               planting, program load, predictor training) — the
- *               region warm-attack snapshots capture/restore
+ *   - Prologue: attack preparation before the transient runs
+ *               (secret planting, program load, predictor training)
  *   - Teardown: Scenario destruction (arena release/reset)
  *   - Total:    the whole attack runner invocation
  *

@@ -51,6 +51,28 @@ entriesJson(const std::vector<CacheEntryMsg> &entries)
     return out;
 }
 
+/** One stats{} counter: its wire key and its StatsMsg member. */
+struct StatsField
+{
+    const char *name;
+    std::size_t StatsMsg::*member;
+};
+
+/** Every stats{} counter in wire order, shared by emit and parse. */
+constexpr StatsField kStatsFields[] = {
+    {"connections", &StatsMsg::connections},
+    {"requests", &StatsMsg::requests},
+    {"executed", &StatsMsg::executed},
+    {"cacheHits", &StatsMsg::cacheHits},
+    {"cacheSize", &StatsMsg::cacheSize},
+    {"forked", &StatsMsg::forked},
+    {"rebuilt", &StatsMsg::rebuilt},
+    {"pooledArenas", &StatsMsg::pooledArenas},
+    {"modelDecided", &StatsMsg::modelDecided},
+    {"modelUndecided", &StatsMsg::modelUndecided},
+    {"modelDisagreements", &StatsMsg::modelDisagreements},
+};
+
 /** Expect the next object key to be exactly @p name. */
 bool
 expectKey(tool::json::Cursor &cur, const char *name)
@@ -187,21 +209,10 @@ std::string
 statsLine(const StatsMsg &msg)
 {
     std::ostringstream os;
-    os << "{\"type\": \"stats\", \"connections\": "
-       << msg.connections << ", \"requests\": " << msg.requests
-       << ", \"executed\": " << msg.executed
-       << ", \"cacheHits\": " << msg.cacheHits
-       << ", \"cacheSize\": " << msg.cacheSize
-       << ", \"forked\": " << msg.forked
-       << ", \"rebuilt\": " << msg.rebuilt
-       << ", \"pooledArenas\": " << msg.pooledArenas
-       << ", \"warmHits\": " << msg.warmHits
-       << ", \"warmMisses\": " << msg.warmMisses
-       << ", \"warmEntries\": " << msg.warmEntries
-       << ", \"modelDecided\": " << msg.modelDecided
-       << ", \"modelUndecided\": " << msg.modelUndecided
-       << ", \"modelDisagreements\": " << msg.modelDisagreements
-       << "}";
+    os << "{\"type\": \"stats\"";
+    for (const StatsField &field : kStatsFields)
+        os << ", \"" << field.name << "\": " << msg.*field.member;
+    os << "}";
     return os.str();
 }
 
@@ -350,62 +361,14 @@ parseLine(const std::string &line)
             msg.type = MsgType::Stats; // bare request
             return msg;
         }
-        if (!cur.expect(',') || !expectKey(cur, "connections"))
-            return invalid("malformed stats");
-        msg.stats.connections = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "requests"))
-            return invalid("malformed stats");
-        msg.stats.requests = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "executed"))
-            return invalid("malformed stats");
-        msg.stats.executed = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "cacheHits"))
-            return invalid("malformed stats");
-        msg.stats.cacheHits = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "cacheSize"))
-            return invalid("malformed stats");
-        msg.stats.cacheSize = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "forked"))
-            return invalid("malformed stats");
-        msg.stats.forked = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "rebuilt"))
-            return invalid("malformed stats");
-        msg.stats.rebuilt = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "pooledArenas"))
-            return invalid("malformed stats");
-        msg.stats.pooledArenas = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "warmHits"))
-            return invalid("malformed stats");
-        msg.stats.warmHits = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "warmMisses"))
-            return invalid("malformed stats");
-        msg.stats.warmMisses = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "warmEntries"))
-            return invalid("malformed stats");
-        msg.stats.warmEntries = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "modelDecided"))
-            return invalid("malformed stats");
-        msg.stats.modelDecided = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "modelUndecided"))
-            return invalid("malformed stats");
-        msg.stats.modelUndecided = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "modelDisagreements"))
-            return invalid("malformed stats");
-        msg.stats.modelDisagreements = cur.parseU64();
-        if (cur.failed() || !cur.expect('}') || !cur.atEnd())
+        for (const StatsField &field : kStatsFields) {
+            if (!cur.expect(',') || !expectKey(cur, field.name))
+                return invalid("malformed stats");
+            msg.stats.*field.member = cur.parseU64();
+            if (cur.failed())
+                return invalid("malformed stats");
+        }
+        if (!cur.expect('}') || !cur.atEnd())
             return invalid("malformed stats");
         msg.type = MsgType::Stats;
         return msg;

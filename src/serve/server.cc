@@ -64,6 +64,7 @@ void
 Server::serveForever()
 {
     while (!stopping_.load(std::memory_order_relaxed)) {
+        reapFinishedConnections();
         net::Conn accepted = listener_.acceptOne(100);
         if (!accepted.valid())
             continue;
@@ -72,8 +73,14 @@ Server::serveForever()
         std::lock_guard<std::mutex> lock(mutex_);
         ++connections_;
         conns_.push_back(conn);
-        threads_.emplace_back(
-            [this, conn] { handleConnection(conn); });
+        // The thread registers itself as finished under mutex_,
+        // which this emplace holds, so its id is always found in
+        // threads_ by the next reap.
+        threads_.emplace_back([this, conn] {
+            handleConnection(conn);
+            std::lock_guard<std::mutex> done(mutex_);
+            finished_.push_back(std::this_thread::get_id());
+        });
     }
     // Wake every connection thread blocked in readLine(), then
     // join them all so the daemon exits with no thread in flight.
@@ -85,11 +92,49 @@ Server::serveForever()
                 conn->shutdownBoth();
         threads.swap(threads_);
         conns_.clear();
+        finished_.clear();
     }
     for (std::thread &t : threads)
         if (t.joinable())
             t.join();
     saveCache();
+}
+
+void
+Server::reapFinishedConnections()
+{
+    // Join every connection thread that has returned, so a
+    // long-lived daemon holds handles only for live connections.
+    std::vector<std::thread> done;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const std::thread::id id : finished_) {
+            const auto it = std::find_if(
+                threads_.begin(), threads_.end(),
+                [id](const std::thread &t) {
+                    return t.get_id() == id;
+                });
+            if (it != threads_.end()) {
+                done.push_back(std::move(*it));
+                threads_.erase(it);
+            }
+        }
+        finished_.clear();
+    }
+    for (std::thread &t : done)
+        t.join();
+    // A joined thread has released its Conn, so its entry expired.
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::erase_if(conns_, [](const std::weak_ptr<net::Conn> &weak) {
+        return weak.expired();
+    });
+}
+
+std::size_t
+Server::retainedThreads() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return threads_.size();
 }
 
 void
@@ -113,11 +158,6 @@ Server::stats() const
     msg.forked = fork.forked;
     msg.rebuilt = fork.rebuilt;
     msg.pooledArenas = fork.pooled;
-    const attacks::WarmSnapshotStats warm =
-        attacks::warmSnapshotStats();
-    msg.warmHits = warm.hits;
-    msg.warmMisses = warm.misses;
-    msg.warmEntries = warm.entries;
     msg.modelDecided = modelDecided_;
     msg.modelUndecided = modelUndecided_;
     msg.modelDisagreements = modelDisagreements_;

@@ -80,8 +80,13 @@ class Server
 
     const campaign::ResultCache &cache() const { return cache_; }
 
+    /** Connection threads not yet joined (live plus not-yet-reaped
+     *  finished ones). */
+    std::size_t retainedThreads() const;
+
   private:
     void handleConnection(std::shared_ptr<net::Conn> conn);
+    void reapFinishedConnections();
     bool handleSubmit(net::Conn &conn, const SubmitMsg &submit);
     void saveCache();
 
@@ -91,9 +96,12 @@ class Server
     std::string fingerprint_;
     std::atomic<bool> stopping_{false};
 
-    mutable std::mutex mutex_; ///< guards conns_/threads_/counters
+    /// Guards conns_/threads_/finished_/counters.
+    mutable std::mutex mutex_;
     std::vector<std::weak_ptr<net::Conn>> conns_;
     std::vector<std::thread> threads_;
+    /// Connection threads that returned and await a join.
+    std::vector<std::thread::id> finished_;
     std::size_t connections_ = 0;
     std::size_t requests_ = 0;
     std::size_t executed_ = 0;

@@ -113,9 +113,7 @@ Cache::flushAll()
         line.valid = false;
     // With every line invalid the old lastUse values can never be
     // compared again, so the use counter restarts: a fully flushed
-    // cache is indistinguishable from a fresh one, which is what
-    // lets pooled/warm-restored state share LRU decisions with a
-    // rebuilt run (attacks/snapshot.hh).
+    // cache makes the same LRU decisions as a freshly built one.
     useCounter_ = 0;
     ++stats_.flushes;
 }

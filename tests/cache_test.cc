@@ -98,8 +98,7 @@ TEST(Cache, FlushAllRestoresLruParityWithFreshCache)
 {
     // flushAll() also rewinds the LRU use counter, so a flushed
     // cache must make the same eviction decisions as a
-    // freshly-constructed one — the warm-snapshot path relies on
-    // replayed accesses evicting identically.
+    // freshly-constructed one: replayed accesses evict identically.
     Cache flushed(smallConfig());
     // Age the counter well past anything the replay will reach.
     for (Addr a = 0; a < 64 * 64; a += 64)

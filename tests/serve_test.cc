@@ -8,7 +8,8 @@
  * robustness (malformed and truncated request lines answered
  * with error{} on a surviving connection; an over-long frame
  * refused and its connection dropped; a client vanishing
- * mid-stream leaving the daemon healthy), and the JSONL resume
+ * mid-stream leaving the daemon healthy; finished connection
+ * threads joined), the stats reply encoding, and the JSONL resume
  * planner's accept/trim/refuse cases.
  */
 
@@ -282,6 +283,40 @@ TEST(Serve, OverlongFrameIsRefusedAndDaemonKeepsServing)
     ASSERT_TRUE(late.writeLine(serve::statsRequestLine()));
     ASSERT_TRUE(late.readLine(line));
     EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Stats);
+}
+
+TEST(Serve, FinishedConnectionThreadsAreJoined)
+{
+    // A long-lived daemon must not keep one thread handle per
+    // connection it ever served: finished ones are joined from the
+    // accept loop.
+    TestServer daemon;
+    constexpr std::size_t kCycles = 200;
+    for (std::size_t i = 0; i < kCycles; ++i)
+        rawHandshaked(daemon.endpoint()); // connect, hello, close
+    EXPECT_EQ(daemon.server().stats().connections, kCycles);
+    EXPECT_LE(daemon.server().retainedThreads(), 8u);
+}
+
+TEST(Serve, StatsReplyRoundTripsEveryField)
+{
+    // Distinct nonzero values, so a swapped or dropped field shows.
+    serve::StatsMsg sent;
+    sent.connections = 1;
+    sent.requests = 2;
+    sent.executed = 3;
+    sent.cacheHits = 4;
+    sent.cacheSize = 5;
+    sent.forked = 6;
+    sent.rebuilt = 7;
+    sent.pooledArenas = 8;
+    sent.modelDecided = 9;
+    sent.modelUndecided = 10;
+    sent.modelDisagreements = 11;
+    const serve::ParsedMsg parsed =
+        serve::parseLine(serve::statsLine(sent));
+    ASSERT_EQ(parsed.type, serve::MsgType::Stats) << parsed.error;
+    EXPECT_EQ(parsed.stats, sent);
 }
 
 TEST(Serve, ClientDisconnectMidStreamLeavesServerHealthy)

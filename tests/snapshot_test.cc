@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "attacks/attack_kit.hh"
+#include "attacks/phase.hh"
 #include "attacks/snapshot.hh"
 #include "attacks/spectre.hh"
 #include "campaign/campaign.hh"
@@ -26,11 +27,9 @@ using attacks::Layout;
 using attacks::Scenario;
 using attacks::ScenarioBuildMode;
 using attacks::ScenarioBuildModeGuard;
-using attacks::WarmSnapshotMode;
-using attacks::WarmSnapshotModeGuard;
 using uarch::kPageSize;
 
-/** Run @p named on a fresh engine under the caller's snapshot modes. */
+/** Run @p named on a fresh engine under the caller's build mode. */
 campaign::CampaignReport
 runSpec(const regress::NamedSpec &named, unsigned workers)
 {
@@ -145,7 +144,7 @@ TEST(Snapshot, ForkPathIsExercisedUnderForkMode)
 
 TEST(Snapshot, EngineRunHonorsTheCallersBuildMode)
 {
-    // The snapshot modes are process-wide: an engine run inside a
+    // The build mode is process-wide: an engine run inside a
     // caller's Rebuild guard must build every cell from scratch
     // rather than switch the process back to forking.
     const regress::NamedSpec &named =
@@ -160,109 +159,35 @@ TEST(Snapshot, EngineRunHonorsTheCallersBuildMode)
     EXPECT_EQ(after.forked, before.forked) << named.name;
 }
 
-TEST(Snapshot, WarmSnapshotReuseHitsAfterFirstBuild)
+TEST(Snapshot, PhaseProfileTimesBuildPrologueAndTeardown)
 {
-    attacks::clearWarmSnapshots();
-    const WarmSnapshotModeGuard warm(WarmSnapshotMode::Reuse);
-    const uarch::CpuConfig config;
+    // The Spectre runners time their prologue inline; a lost timer
+    // would silently zero attacks.prologue_pct.
+    attacks::resetPhaseProfile();
     attacks::AttackOptions opt;
     opt.secretLen = 4;
-
-    const auto first = attacks::runSpectreV1(config, opt);
-    attacks::WarmSnapshotStats s = attacks::warmSnapshotStats();
-    EXPECT_GE(s.misses, 1u); // first cell builds the snapshot
-    EXPECT_GE(s.entries, 1u);
-    const std::uint64_t hitsAfterFirst = s.hits;
-
-    const auto second = attacks::runSpectreV1(config, opt);
-    s = attacks::warmSnapshotStats();
-    EXPECT_GT(s.hits, hitsAfterFirst); // second cell restores it
-
-    // Restoring the prologue state must not change the outcome.
-    EXPECT_EQ(first.accuracy, second.accuracy);
-    EXPECT_EQ(first.guestCycles, second.guestCycles);
-    EXPECT_EQ(first.recovered, second.recovered);
-
-    // Body-only options (delayAuthorization is applied after the
-    // prologue) share the warm key, so flipping one still hits.
-    const std::uint64_t hitsBefore = s.hits;
-    attacks::AttackOptions noDelay = opt;
-    noDelay.delayAuthorization = false;
-    attacks::runSpectreV1(config, noDelay);
-    EXPECT_GT(attacks::warmSnapshotStats().hits, hitsBefore);
-    attacks::clearWarmSnapshots();
-}
-
-TEST(Snapshot, WarmRebuildModeBypassesTheCache)
-{
-    attacks::clearWarmSnapshots();
-    const WarmSnapshotModeGuard rebuild(WarmSnapshotMode::Rebuild);
-    const uarch::CpuConfig config;
-    attacks::AttackOptions opt;
-    opt.secretLen = 4;
-    const std::uint64_t hitsBefore =
-        attacks::warmSnapshotStats().hits;
-    attacks::runSpectreV1(config, opt);
-    attacks::runSpectreV1(config, opt);
-    const attacks::WarmSnapshotStats s =
-        attacks::warmSnapshotStats();
-    EXPECT_EQ(s.hits, hitsBefore); // never restored
-    EXPECT_EQ(s.entries, 0u);      // never captured
-}
-
-TEST(Snapshot, WarmAttackKeySeparatesTrainingRelevantState)
-{
-    const uarch::CpuConfig config;
-    const attacks::AttackOptions opt;
-    const std::string base =
-        attacks::warmAttackKey("spectre-v1", config, opt);
-
-    // Different attack name, training-relevant option, or CPU
-    // config each get their own snapshot.
-    EXPECT_NE(attacks::warmAttackKey("spectre-v1.1", config, opt),
-              base);
-    attacks::AttackOptions moreRounds = opt;
-    moreRounds.trainingRounds += 1;
-    EXPECT_NE(attacks::warmAttackKey("spectre-v1", config,
-                                     moreRounds),
-              base);
-    attacks::AttackOptions primeProbe = opt;
-    primeProbe.channel = attacks::CovertChannelKind::PrimeProbe;
-    EXPECT_NE(attacks::warmAttackKey("spectre-v1", config,
-                                     primeProbe),
-              base);
-    uarch::CpuConfig smallRob = config;
-    smallRob.robSize /= 2;
-    EXPECT_NE(attacks::warmAttackKey("spectre-v1", smallRob, opt),
-              base);
-
-    // Body-only options must NOT split the key: the prologue state
-    // is identical, so the snapshot is shared.
-    attacks::AttackOptions bodyOnly = opt;
-    bodyOnly.delayAuthorization = !bodyOnly.delayAuthorization;
-    bodyOnly.kpti = !bodyOnly.kpti;
-    EXPECT_EQ(attacks::warmAttackKey("spectre-v1", config,
-                                     bodyOnly),
-              base);
+    attacks::runSpectreV1(uarch::CpuConfig{}, opt);
+    const attacks::PhaseProfile phase = attacks::phaseProfile();
+    EXPECT_GT(phase.prologueNanos, 0u);
+    EXPECT_GT(phase.buildNanos, 0u);
+    EXPECT_GT(phase.teardownNanos, 0u);
 }
 
 /**
- * The acceptance bar for both snapshot tiers: every golden spec,
- * run once under the @p build / @p warm reference modes, must give
- * byte-identical timing-free exports when re-run with arena forking
- * and warm-snapshot reuse at one, two and eight workers.  Any
- * divergence means a pooled arena or a restored prologue leaked
+ * The acceptance bar for the fork path: every golden spec, run once
+ * with arenas rebuilt from scratch, must give byte-identical
+ * timing-free exports when re-run with arena forking at one, two
+ * and eight workers.  Any divergence means a pooled arena leaked
  * state between cells.
  */
-void
-expectForkedWarmMatches(ScenarioBuildMode build, WarmSnapshotMode warm)
+TEST(Snapshot, ForkMatchesRebuildOnEveryGoldenSpec)
 {
     for (const regress::NamedSpec &named :
          regress::registeredSpecs()) {
         std::string referenceJsonl, referenceMatrix;
         {
-            const ScenarioBuildModeGuard buildGuard(build);
-            const WarmSnapshotModeGuard warmGuard(warm);
+            const ScenarioBuildModeGuard rebuild(
+                ScenarioBuildMode::Rebuild);
             const campaign::CampaignReport reference =
                 runSpec(named, 1);
             referenceJsonl = tool::campaignJsonl(reference, false);
@@ -270,7 +195,6 @@ expectForkedWarmMatches(ScenarioBuildMode build, WarmSnapshotMode warm)
         }
 
         const ScenarioBuildModeGuard fork(ScenarioBuildMode::Fork);
-        const WarmSnapshotModeGuard reuse(WarmSnapshotMode::Reuse);
         for (const unsigned workers : {1u, 2u, 8u}) {
             const campaign::CampaignReport run =
                 runSpec(named, workers);
@@ -283,22 +207,6 @@ expectForkedWarmMatches(ScenarioBuildMode build, WarmSnapshotMode warm)
                 << workers;
         }
     }
-}
-
-TEST(Snapshot, WarmMatchesColdOnEveryGoldenSpec)
-{
-    // The cold reference disables both arena forking and warm
-    // snapshots.
-    attacks::clearWarmSnapshots();
-    expectForkedWarmMatches(ScenarioBuildMode::Rebuild,
-                            WarmSnapshotMode::Rebuild);
-    attacks::clearWarmSnapshots();
-}
-
-TEST(Snapshot, ForkMatchesRebuildOnEveryGoldenSpec)
-{
-    expectForkedWarmMatches(ScenarioBuildMode::Rebuild,
-                            WarmSnapshotMode::Reuse);
 }
 
 } // namespace
