@@ -12,8 +12,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <thread>
 
@@ -24,6 +22,7 @@
 #include "campaign/sink.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "tool/cli.hh"
 #include "tool/report.hh"
 #include "tool/stream_export.hh"
 
@@ -36,22 +35,11 @@ main(int argc, char **argv)
     unsigned parallel_workers =
         std::max(4u, std::thread::hardware_concurrency());
     std::string json_path = "BENCH_campaign.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--workers") == 0 &&
-                   i + 1 < argc) {
-            char *end = nullptr;
-            const unsigned long n =
-                std::strtoul(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0' || n == 0) {
-                std::fprintf(stderr,
-                             "--workers: '%s' is not a positive "
-                             "integer\n", argv[i]);
-                return 2;
-            }
-            parallel_workers = static_cast<unsigned>(n);
-        }
+    for (tool::cli::Args args(argc, argv); args.next();) {
+        if (args.arg() == "--json")
+            json_path = args.value();
+        else if (args.arg() == "--workers")
+            parallel_workers = args.workers(1);
     }
 
     bench::header("campaign engine: serial vs. parallel sweep");

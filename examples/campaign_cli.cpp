@@ -45,12 +45,11 @@
  * result fragments cross the wire (see src/serve/protocol.hh).
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -59,6 +58,7 @@
 #include "core/catalog.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "tool/cli.hh"
 #include "tool/report.hh"
 #include "tool/report_io.hh"
 #include "tool/schema.hh"
@@ -67,36 +67,24 @@
 
 using namespace specsec;
 using namespace specsec::campaign;
+namespace cli = specsec::tool::cli;
 
 namespace
 {
 
-/** Strict decimal parse; rejects empty strings and trailing junk. */
+/** SETSxWAYS with an optional @MISS latency suffix (--cache-geom). */
 bool
-parseUnsigned(const std::string &s, unsigned long &out)
+parseCacheGeometry(const std::string &text, uarch::CacheConfig &cache)
 {
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoul(s.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
-}
-
-std::vector<std::string>
-splitCommas(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-        const std::size_t comma = arg.find(',', start);
-        if (comma == std::string::npos) {
-            out.push_back(arg.substr(start));
-            break;
-        }
-        out.push_back(arg.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
+    const std::size_t x = text.find('x');
+    const std::size_t at = std::min(text.find('@'), text.size());
+    return x < at &&
+           cli::parseUnsigned(text.substr(0, x), cache.sets) &&
+           cli::parseUnsigned(text.substr(x + 1, at - x - 1),
+                              cache.ways) &&
+           (at == text.size() ||
+            cli::parseUnsigned(text.substr(at + 1), cache.missLatency)) &&
+           cache.sets > 0 && cache.ways > 0;
 }
 
 int
@@ -240,21 +228,13 @@ describeMain(int argc, char **argv)
         else
             name = argv[i];
     }
-    if (name.empty()) {
-        std::fprintf(stderr, "describe: no attack name given\n");
-        return 2;
-    }
-    const core::ScenarioCatalog &catalog =
-        core::ScenarioCatalog::instance();
-    const core::AttackDescriptor *d = catalog.findAttack(name);
-    if (d == nullptr) {
-        std::fprintf(stderr, "%s\n",
-                     core::unknownNameMessage(
-                         "attack", name,
-                         catalog.attackSuggestions(name))
-                         .c_str());
-        return 2;
-    }
+    if (name.empty())
+        cli::fail("describe: no attack name given");
+    std::string error;
+    const core::AttackDescriptor *d =
+        core::ScenarioCatalog::instance().lookupAttack(name, error);
+    if (d == nullptr)
+        cli::fail(error);
     if (json) {
         std::printf("%s\n", attackDescriptorJson(*d).c_str());
         return 0;
@@ -315,29 +295,32 @@ printSummary(const CampaignReport &report)
                     report.disagreements);
 }
 
+/** Write one output file, saying so. */
+bool
+writeOutput(const std::string &path, const std::string &contents)
+{
+    if (tool::writeTextFile(path, contents)) {
+        std::printf("wrote %s\n", path.c_str());
+        return true;
+    }
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+}
+
 bool
 exportReport(const CampaignReport &report,
              const std::string &json_path,
              const std::string &csv_path,
              const std::string &jsonl_path, bool timing)
 {
-    const auto write = [](const std::string &path,
-                          const std::string &contents) {
-        if (tool::writeTextFile(path, contents)) {
-            std::printf("wrote %s\n", path.c_str());
-            return true;
-        }
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    };
     bool ok = true;
     if (!json_path.empty())
-        ok &= write(json_path, tool::campaignJson(report, timing));
+        ok &= writeOutput(json_path, tool::campaignJson(report, timing));
     if (!csv_path.empty())
-        ok &= write(csv_path, tool::campaignCsv(report, timing));
+        ok &= writeOutput(csv_path, tool::campaignCsv(report, timing));
     if (!jsonl_path.empty())
-        ok &= write(jsonl_path,
-                    tool::campaignJsonl(report, timing));
+        ok &= writeOutput(jsonl_path,
+                          tool::campaignJsonl(report, timing));
     return ok;
 }
 
@@ -348,22 +331,14 @@ mergeMain(int argc, char **argv)
     std::vector<std::string> files;
     std::string json_path, csv_path, jsonl_path;
     bool timing = false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
+    for (cli::Args args(argc, argv, 2); args.next();) {
+        const std::string &arg = args.arg();
         if (arg == "--json")
-            json_path = value();
+            json_path = args.value();
         else if (arg == "--csv")
-            csv_path = value();
+            csv_path = args.value();
         else if (arg == "--jsonl")
-            jsonl_path = value();
+            jsonl_path = args.value();
         else if (arg == "--timing")
             timing = true;
         else if (!arg.empty() && arg[0] == '-')
@@ -371,39 +346,16 @@ mergeMain(int argc, char **argv)
         else
             files.push_back(arg);
     }
-    if (files.empty()) {
-        std::fprintf(stderr, "merge: no shard report files given\n");
-        return 2;
+    std::string error;
+    bool conflict = false;
+    const std::optional<CampaignReport> merged =
+        tool::mergeShardFiles(files, &error, &conflict);
+    if (!merged) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return conflict ? 1 : 2;
     }
-
-    std::optional<CampaignReport> merged;
-    for (const std::string &path : files) {
-        std::string text;
-        if (!tool::readTextFile(path, text)) {
-            std::fprintf(stderr, "cannot read %s\n", path.c_str());
-            return 2;
-        }
-        std::string error;
-        auto shard = tool::parseShardReportJson(text, &error);
-        if (!shard) {
-            std::fprintf(stderr, "%s: malformed shard report: %s\n",
-                         path.c_str(), error.c_str());
-            return 2;
-        }
-        std::printf("loaded %s: shard %zu/%zu, %zu outcomes\n",
-                    path.c_str(), shard->shardIndex,
-                    shard->shardCount, shard->outcomes.size());
-        if (!merged) {
-            merged = std::move(*shard);
-            continue;
-        }
-        std::string merge_error;
-        if (!merged->merge(*shard, &merge_error)) {
-            std::fprintf(stderr, "%s: merge conflict: %s\n",
-                         path.c_str(), merge_error.c_str());
-            return 1;
-        }
-    }
+    std::printf("merged %zu shard reports: %zu outcomes\n",
+                files.size(), merged->outcomes.size());
     if (merged->partial())
         std::printf("note: merged report is still partial (%zu of "
                     "%zu grid points)\n",
@@ -421,35 +373,16 @@ int
 serveMain(int argc, char **argv)
 {
     serve::Server::Options opts;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
+    for (cli::Args args(argc, argv, 2); args.next();) {
+        const std::string &arg = args.arg();
         if (arg == "--host")
-            opts.host = value();
-        else if (arg == "--port") {
-            unsigned long port = 0;
-            if (!parseUnsigned(value(), port) || port > 65535) {
-                std::fprintf(stderr,
-                             "--port: not a port number\n");
-                return 2;
-            }
-            opts.port = static_cast<std::uint16_t>(port);
-        } else if (arg == "--workers") {
-            unsigned long n = 0;
-            if (!parseUnsigned(value(), n)) {
-                std::fprintf(stderr, "--workers: not a number\n");
-                return 2;
-            }
-            opts.workers = static_cast<unsigned>(n);
-        } else if (arg == "--cache-file")
-            opts.cachePath = value();
+            opts.host = args.value();
+        else if (arg == "--port")
+            opts.port = args.number<std::uint16_t>();
+        else if (arg == "--workers")
+            opts.workers = args.workers();
+        else if (arg == "--cache-file")
+            opts.cachePath = args.value();
         else
             return usage(argv[0]);
     }
@@ -471,42 +404,29 @@ serveMain(int argc, char **argv)
     return 0;
 }
 
-/** Shared --connect parsing for submit/stats/shutdown. */
-bool
-connectFromArg(const std::string &endpoint_text,
-               serve::Client &client)
+/**
+ * The command line of stats/shutdown: `--connect HOST:P` and nothing
+ * else.  @return 0 once @p client is connected, else the exit code.
+ */
+int
+connectOnly(int argc, char **argv, serve::Client &client)
 {
-    serve::net::Endpoint endpoint;
-    std::string error;
-    if (endpoint_text.empty()) {
-        std::fprintf(stderr, "--connect HOST:PORT is required\n");
-        return false;
+    std::string endpoint;
+    for (cli::Args args(argc, argv, 2); args.next();) {
+        if (args.arg() != "--connect")
+            return usage(argv[0]);
+        endpoint = args.value();
     }
-    if (!serve::net::parseEndpoint(endpoint_text, endpoint,
-                                   &error) ||
-        !client.connect(endpoint, &error)) {
-        std::fprintf(stderr, "connect %s: %s\n",
-                     endpoint_text.c_str(), error.c_str());
-        return false;
-    }
-    return true;
+    return cli::connect(endpoint, client) ? 0 : 1;
 }
 
 /** `campaign_cli stats --connect HOST:P`. */
 int
 statsMain(int argc, char **argv)
 {
-    std::string endpoint;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--connect") == 0 &&
-            i + 1 < argc)
-            endpoint = argv[++i];
-        else
-            return usage(argv[0]);
-    }
     serve::Client client;
-    if (!connectFromArg(endpoint, client))
-        return 1;
+    if (const int rc = connectOnly(argc, argv, client))
+        return rc;
     serve::StatsMsg stats;
     std::string error;
     if (!client.serverStats(stats, &error)) {
@@ -533,17 +453,9 @@ statsMain(int argc, char **argv)
 int
 shutdownMain(int argc, char **argv)
 {
-    std::string endpoint;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--connect") == 0 &&
-            i + 1 < argc)
-            endpoint = argv[++i];
-        else
-            return usage(argv[0]);
-    }
     serve::Client client;
-    if (!connectFromArg(endpoint, client))
-        return 1;
+    if (const int rc = connectOnly(argc, argv, client))
+        return rc;
     std::string error;
     if (!client.requestShutdown(&error)) {
         std::fprintf(stderr, "shutdown: %s\n", error.c_str());
@@ -558,18 +470,13 @@ shutdownMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "merge") == 0)
-        return mergeMain(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "serve") == 0)
-        return serveMain(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "stats") == 0)
-        return statsMain(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "shutdown") == 0)
-        return shutdownMain(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "list-attacks") == 0)
-        return listAttacksMain(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "describe") == 0)
-        return describeMain(argc, argv);
+    const std::pair<const char *, int (*)(int, char **)> subcommands[] = {
+        {"merge", mergeMain},       {"serve", serveMain},
+        {"stats", statsMain},       {"shutdown", shutdownMain},
+        {"list-attacks", listAttacksMain}, {"describe", describeMain}};
+    for (const auto &[name, run] : subcommands)
+        if (argc > 1 && std::strcmp(argv[1], name) == 0)
+            return run(argc, argv);
 
     // `export FILE`: one output whose format is inferred from the
     // file extension (overridable with --format); every other
@@ -607,201 +514,102 @@ main(int argc, char **argv)
     std::string connect_endpoint;
     bool resume = false;
 
-    for (int i = first_arg; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
+    const core::ScenarioCatalog &catalog =
+        core::ScenarioCatalog::instance();
+    for (cli::Args args(argc, argv, first_arg); args.next();) {
+        const std::string &arg = args.arg();
         if (export_mode && arg == "--format") {
-            export_format = value();
+            export_format = args.value();
         } else if (arg == "--workers") {
-            unsigned long n = 0;
-            if (!parseUnsigned(value(), n)) {
-                std::fprintf(stderr, "--workers: not a number\n");
-                return 2;
-            }
-            engine_opts.workers = static_cast<unsigned>(n);
+            engine_opts.workers = args.workers();
         } else if (arg == "--serial") {
             engine_opts.workers = 1;
         } else if (arg == "--backend") {
-            const std::string name = value();
-            if (!verdict::parseBackend(name,
-                                       engine_opts.backend)) {
-                std::fprintf(
-                    stderr, "%s\n",
-                    verdict::unknownBackendMessage(name).c_str());
-                return 2;
-            }
+            engine_opts.backend = args.backend();
         } else if (arg == "--variants") {
             // Rows resolve through the ScenarioCatalog, so names
             // and aliases of registered out-of-tree attacks work
             // exactly like built-in variants.
-            const core::ScenarioCatalog &catalog =
-                core::ScenarioCatalog::instance();
             spec.variants.clear();
             spec.attackNames.clear();
-            for (const std::string &name : splitCommas(value())) {
+            for (const std::string &name :
+                 cli::splitList(args.value())) {
+                std::string error;
                 const core::AttackDescriptor *d =
-                    catalog.findAttack(name);
-                if (d == nullptr) {
-                    std::fprintf(
-                        stderr, "%s\n",
-                        core::unknownNameMessage(
-                            "attack", name,
-                            catalog.attackSuggestions(name))
-                            .c_str());
-                    return 2;
-                }
+                    catalog.lookupAttack(name, error);
+                if (d == nullptr)
+                    cli::fail(error);
                 spec.attackNames.push_back(d->name);
             }
         } else if (arg == "--rob") {
-            spec.robSizes.clear();
-            for (const std::string &n : splitCommas(value())) {
-                unsigned long rob = 0;
-                if (!parseUnsigned(n, rob) || rob == 0) {
-                    std::fprintf(stderr,
-                                 "--rob: '%s' is not a positive "
-                                 "integer\n", n.c_str());
-                    return 2;
-                }
-                spec.robSizes.push_back(rob);
-            }
+            spec.robSizes = args.numbers<std::size_t>(1);
         } else if (arg == "--perm-lat") {
-            spec.permCheckLatencies.clear();
-            for (const std::string &n : splitCommas(value())) {
-                unsigned long lat = 0;
-                if (!parseUnsigned(n, lat)) {
-                    std::fprintf(stderr,
-                                 "--perm-lat: '%s' is not a "
-                                 "number\n", n.c_str());
-                    return 2;
-                }
-                spec.permCheckLatencies.push_back(
-                    static_cast<unsigned>(lat));
-            }
+            spec.permCheckLatencies = args.numbers<unsigned>();
         } else if (arg == "--channels") {
             spec.channels.clear();
-            for (const std::string &n : splitCommas(value())) {
+            for (const std::string &n : cli::splitList(args.value())) {
                 if (n == "fr" || n == "flush-reload")
                     spec.channels.push_back(
                         core::CovertChannelKind::FlushReload);
                 else if (n == "pp" || n == "prime-probe")
                     spec.channels.push_back(
                         core::CovertChannelKind::PrimeProbe);
-                else {
-                    std::fprintf(stderr, "unknown channel: %s\n",
-                                 n.c_str());
-                    return 2;
-                }
+                else
+                    cli::fail("unknown channel: " + n);
             }
         } else if (arg == "--mitigations") {
             spec.mitigations.clear();
-            for (const std::string &n : splitCommas(value())) {
+            for (const std::string &n : cli::splitList(args.value())) {
                 auto m = SoftwareMitigation::byName(n);
-                if (!m) {
-                    std::fprintf(
-                        stderr, "%s\n",
-                        core::unknownNameMessage(
-                            "mitigation", n,
-                            core::ScenarioCatalog::instance()
-                                .mitigationSuggestions(n))
-                            .c_str());
-                    return 2;
-                }
+                if (!m)
+                    cli::fail(core::unknownNameMessage(
+                        "mitigation", n,
+                        catalog.mitigationSuggestions(n)));
                 spec.mitigations.push_back(std::move(*m));
             }
         } else if (arg == "--vuln-ablate") {
             spec.vulnAblations.clear();
-            for (const std::string &n : splitCommas(value())) {
+            for (const std::string &n : cli::splitList(args.value())) {
                 VulnAblation a;
                 a.label = n;
-                if (n == "all")
-                    ;
-                else if (n == "no-meltdown")
-                    a.vuln.meltdown = false;
-                else if (n == "no-l1tf")
-                    a.vuln.l1tf = false;
-                else if (n == "no-mds")
-                    a.vuln.mds = false;
-                else if (n == "no-lazyfp")
-                    a.vuln.lazyFp = false;
-                else if (n == "no-store-bypass")
-                    a.vuln.storeBypass = false;
-                else if (n == "no-msr")
-                    a.vuln.msr = false;
-                else if (n == "no-taa")
-                    a.vuln.taa = false;
-                else {
-                    std::fprintf(stderr,
-                                 "unknown vuln ablation: %s\n",
-                                 n.c_str());
-                    return 2;
+                if (!tool::parseVulnSummary(n, a.vuln)) {
+                    std::vector<std::string> names{"all"};
+                    for (const uarch::VulnPath &path : uarch::kVulnPaths)
+                        names.push_back(std::string("no-") + path.name);
+                    cli::fail(core::unknownNameMessage(
+                        "vuln ablation", n, core::suggestNames(names, n)));
                 }
                 spec.vulnAblations.push_back(std::move(a));
             }
         } else if (arg == "--cache-geom") {
             spec.cacheGeometries.clear();
-            for (const std::string &n : splitCommas(value())) {
+            for (const std::string &n : cli::splitList(args.value())) {
                 CacheGeometry g;
                 g.label = n;
-                // SETSxWAYS with an optional @MISS latency suffix.
-                const std::size_t x = n.find('x');
-                const std::size_t at = n.find('@');
-                unsigned long sets = 0, ways = 0, miss = 0;
-                const bool ok =
-                    x != std::string::npos &&
-                    parseUnsigned(n.substr(0, x), sets) &&
-                    parseUnsigned(
-                        n.substr(x + 1,
-                                 (at == std::string::npos
-                                      ? n.size()
-                                      : at) -
-                                     x - 1),
-                        ways) &&
-                    (at == std::string::npos ||
-                     parseUnsigned(n.substr(at + 1), miss)) &&
-                    sets > 0 && ways > 0;
-                if (!ok) {
-                    std::fprintf(stderr,
-                                 "--cache-geom: '%s' is not "
-                                 "SETSxWAYS[@MISS]\n",
-                                 n.c_str());
-                    return 2;
-                }
-                g.cache.sets = sets;
-                g.cache.ways = ways;
-                if (at != std::string::npos)
-                    g.cache.missLatency =
-                        static_cast<std::uint32_t>(miss);
+                if (!parseCacheGeometry(n, g.cache))
+                    cli::fail("--cache-geom: '" + n +
+                              "' is not SETSxWAYS[@MISS]");
                 spec.cacheGeometries.push_back(std::move(g));
             }
         } else if (arg == "--shard") {
-            if (!parseShardRange(value(), shard)) {
-                std::fprintf(stderr,
-                             "--shard: expected I/N with I < N\n");
-                return 2;
-            }
+            if (!parseShardRange(args.value(), shard))
+                cli::fail("--shard: expected I/N with I < N");
         } else if (arg == "--shard-report") {
-            shard_report_path = value();
+            shard_report_path = args.value();
         } else if (arg == "--cache-file") {
-            cache_path = value();
+            cache_path = args.value();
         } else if (arg == "--json") {
-            json_path = value();
+            json_path = args.value();
         } else if (arg == "--csv") {
-            csv_path = value();
+            csv_path = args.value();
         } else if (arg == "--jsonl") {
-            jsonl_path = value();
+            jsonl_path = args.value();
         } else if (arg == "--progress") {
             progress = true;
         } else if (arg == "--timing") {
             timing = true;
         } else if (arg == "--connect") {
-            connect_endpoint = value();
+            connect_endpoint = args.value();
         } else if (arg == "--resume") {
             resume = true;
         } else {
@@ -809,88 +617,43 @@ main(int argc, char **argv)
         }
     }
 
-    if (submit_mode && connect_endpoint.empty()) {
-        std::fprintf(stderr,
-                     "submit: --connect HOST:PORT is required\n");
-        return 2;
-    }
-    if (resume) {
-        if (connect_endpoint.empty() || jsonl_path.empty()) {
-            std::fprintf(stderr,
-                         "--resume needs --connect and --jsonl "
-                         "(it completes a killed remote JSONL "
-                         "export)\n");
-            return 2;
-        }
-        if (timing) {
-            std::fprintf(stderr,
-                         "--resume is timing-free only (timing "
-                         "output embeds machine-local wall "
-                         "times)\n");
-            return 2;
-        }
-    }
-    if (!connect_endpoint.empty() && !cache_path.empty()) {
-        std::fprintf(stderr,
-                     "--cache-file does not apply to remote runs; "
-                     "give it to `campaign_cli serve` instead\n");
-        return 2;
-    }
+    if (submit_mode && connect_endpoint.empty())
+        cli::fail("submit: --connect HOST:PORT is required");
+    if (resume && (connect_endpoint.empty() || jsonl_path.empty()))
+        cli::fail("--resume needs --connect and --jsonl (it completes "
+                  "a killed remote JSONL export)");
+    if (resume && timing)
+        cli::fail("--resume is timing-free only (timing output embeds "
+                  "machine-local wall times)");
+    if (!connect_endpoint.empty() && !cache_path.empty())
+        cli::fail("--cache-file does not apply to remote runs; give it "
+                  "to `campaign_cli serve` instead");
     if (!connect_endpoint.empty() &&
-        engine_opts.backend != verdict::VerdictBackend::Simulator) {
-        std::fprintf(stderr,
-                     "--backend does not apply to remote runs: the "
-                     "daemon executes the simulator (and judges "
-                     "every submitted cell itself; see `stats`)\n");
-        return 2;
-    }
+        engine_opts.backend != verdict::VerdictBackend::Simulator)
+        cli::fail("--backend does not apply to remote runs: the daemon "
+                  "executes the simulator (and judges every submitted "
+                  "cell itself; see `stats`)");
 
     if (export_mode) {
-        if (export_format.empty()) {
-            export_format =
-                tool::exportFormatFromPath(export_path);
-            if (export_format.empty()) {
-                // Suggest against the extension when there is one
-                // ("out.jsnl" -> "did you mean jsonl?"); only dots
-                // in the filename itself count, not directory names.
-                const std::size_t slash =
-                    export_path.find_last_of("/\\");
-                const std::string file =
-                    slash == std::string::npos
-                        ? export_path
-                        : export_path.substr(slash + 1);
-                const std::size_t dot = file.rfind('.');
-                const std::string ext =
-                    dot == std::string::npos ? file
-                                             : file.substr(dot + 1);
-                std::fprintf(
-                    stderr,
-                    "export: cannot infer a format from '%s'; %s\n",
-                    export_path.c_str(),
-                    core::unknownNameMessage(
-                        "export format", ext,
-                        core::suggestNames(
-                            tool::exportFormatNames(), ext))
-                        .c_str());
-                return 2;
-            }
-        } else {
-            // Normalize case like extension inference does
-            // (--format JSON == export OUT.JSON).
-            const std::string normalized =
-                tool::exportFormatFromPath("x." + export_format);
-            if (normalized.empty()) {
-                std::fprintf(stderr, "%s\n",
-                             core::unknownNameMessage(
-                                 "export format", export_format,
-                                 core::suggestNames(
-                                     tool::exportFormatNames(),
-                                     export_format))
-                                 .c_str());
-                return 2;
-            }
-            export_format = normalized;
-        }
+        // --format wins over the extension, and both fold case
+        // (--format JSON == export OUT.JSON).  Only a dot in the file
+        // name counts, not one in a directory name; a typo is
+        // suggested against ("out.jsnl" -> "did you mean jsonl?").
+        const bool inferred = export_format.empty();
+        const std::string file =
+            export_path.substr(export_path.find_last_of("/\\") + 1);
+        const std::string given =
+            inferred ? file.substr(file.rfind('.') + 1) : export_format;
+        export_format = tool::exportFormatFromPath(
+            inferred ? export_path : "x." + export_format);
+        if (export_format.empty())
+            cli::fail((inferred ? "export: cannot infer a format from '" +
+                                      export_path + "'; "
+                                : std::string()) +
+                      core::unknownNameMessage(
+                          "export format", given,
+                          core::suggestNames(tool::exportFormatNames(),
+                                             given)));
         if (export_format == "json")
             json_path = export_path;
         else if (export_format == "csv")
@@ -900,14 +663,9 @@ main(int argc, char **argv)
     }
 
     ResultCache cache;
-    const std::string fingerprint = modelFingerprint();
-    if (!cache_path.empty()) {
+    if (!cache_path.empty())
         engine_opts.cache = &cache;
-        std::string error;
-        if (cache.loadFromFile(cache_path, fingerprint, &error))
-            std::printf("loaded %zu cached results from %s\n",
-                        cache.size(), cache_path.c_str());
-    }
+    cli::loadCache(cache, cache_path);
 
     // --resume completes a killed remote run's JSONL export in
     // place: keep the file's valid prefix (header + outcome lines
@@ -918,7 +676,7 @@ main(int argc, char **argv)
     // already-covered prefix is never re-fetched).
     if (resume) {
         serve::Client client;
-        if (!connectFromArg(connect_endpoint, client))
+        if (!cli::connect(connect_endpoint, client))
             return 1;
         const ExpandedGrid grid = dedupGrid(spec);
         const CampaignHeader header = serve::headerForGrid(
@@ -987,7 +745,7 @@ main(int argc, char **argv)
 
     serve::Client client;
     if (!connect_endpoint.empty() &&
-        !connectFromArg(connect_endpoint, client))
+        !cli::connect(connect_endpoint, client))
         return 1;
 
     const CampaignEngine engine(engine_opts);
@@ -1007,30 +765,23 @@ main(int argc, char **argv)
     // finish scenarios, not after the sweep.
     ReportSink report_sink;
     std::vector<OutcomeSink *> sinks{&report_sink};
-    std::ofstream csv_stream;
+    const auto open = [](std::ofstream &stream, const std::string &path) {
+        if (path.empty())
+            return true;
+        stream.open(path, std::ios::binary);
+        if (!stream)
+            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return static_cast<bool>(stream);
+    };
+    std::ofstream csv_stream, jsonl_stream;
+    if (!open(csv_stream, csv_path) || !open(jsonl_stream, jsonl_path))
+        return 1;
     std::optional<tool::CsvStreamSink> csv_sink;
-    if (!csv_path.empty()) {
-        csv_stream.open(csv_path, std::ios::binary);
-        if (!csv_stream) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         csv_path.c_str());
-            return 1;
-        }
-        csv_sink.emplace(csv_stream, timing);
-        sinks.push_back(&*csv_sink);
-    }
-    std::ofstream jsonl_stream;
+    if (!csv_path.empty())
+        sinks.push_back(&csv_sink.emplace(csv_stream, timing));
     std::optional<tool::JsonlStreamSink> jsonl_sink;
-    if (!jsonl_path.empty()) {
-        jsonl_stream.open(jsonl_path, std::ios::binary);
-        if (!jsonl_stream) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         jsonl_path.c_str());
-            return 1;
-        }
-        jsonl_sink.emplace(jsonl_stream, timing);
-        sinks.push_back(&*jsonl_sink);
-    }
+    if (!jsonl_path.empty())
+        sinks.push_back(&jsonl_sink.emplace(jsonl_stream, timing));
     std::optional<ProgressSink> progress_sink;
     if (progress) {
         progress_sink.emplace(stderr);
@@ -1070,30 +821,12 @@ main(int argc, char **argv)
 
     printSummary(report);
 
-    if (!cache_path.empty()) {
-        std::string error, lockWarning;
-        if (cache.saveToFile(cache_path, fingerprint, &error,
-                             &lockWarning))
-            std::printf("saved %zu cached results to %s\n",
-                        cache.size(), cache_path.c_str());
-        else
-            std::fprintf(stderr, "cache save failed: %s\n",
-                         error.c_str());
-        if (!lockWarning.empty())
-            std::fprintf(stderr, "cache save degraded: %s\n",
-                         lockWarning.c_str());
-    }
+    // A failed cache save only costs the next run its warm start.
+    cli::saveCache(cache, cache_path);
 
-    if (!shard_report_path.empty()) {
-        if (tool::writeTextFile(shard_report_path,
-                                tool::shardReportJson(report)))
-            std::printf("wrote %s\n", shard_report_path.c_str());
-        else {
-            std::fprintf(stderr, "cannot write %s\n",
-                         shard_report_path.c_str());
-            ok = false;
-        }
-    }
+    if (!shard_report_path.empty())
+        ok &= writeOutput(shard_report_path,
+                          tool::shardReportJson(report));
     // JSON has no streaming form (it is one document); export it
     // from the collected report like before.
     ok &= exportReport(report, json_path, "", "", timing);

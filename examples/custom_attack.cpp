@@ -28,7 +28,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -39,6 +38,7 @@
 #include "campaign/sink.hh"
 #include "core/catalog.hh"
 #include "core/composer.hh"
+#include "tool/cli.hh"
 #include "tool/report.hh"
 #include "tool/stream_export.hh"
 
@@ -228,27 +228,14 @@ main(int argc, char **argv)
 {
     std::string jsonl_path = "custom-attack.jsonl";
     std::string cache_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--jsonl")
-            jsonl_path = value();
-        else if (arg == "--cache-file")
-            cache_path = value();
-        else {
-            std::fprintf(stderr,
-                         "usage: %s [--jsonl FILE] "
-                         "[--cache-file FILE]\n",
-                         argv[0]);
-            return 2;
-        }
+    for (tool::cli::Args args(argc, argv); args.next();) {
+        if (args.arg() == "--jsonl")
+            jsonl_path = args.value();
+        else if (args.arg() == "--cache-file")
+            cache_path = args.value();
+        else
+            tool::cli::fail(std::string("usage: ") + argv[0] +
+                            " [--jsonl FILE] [--cache-file FILE]");
     }
 
     const core::AttackDescriptor &descriptor = registerPtrChase();
@@ -269,13 +256,9 @@ main(int argc, char **argv)
     // Persistent cache: a second invocation with the same
     // --cache-file executes zero cells.
     campaign::ResultCache cache;
-    const std::string fingerprint = campaign::modelFingerprint();
     campaign::CampaignEngine::Options engine_opts;
     engine_opts.cache = &cache;
-    if (!cache_path.empty() &&
-        cache.loadFromFile(cache_path, fingerprint))
-        std::printf("cache: loaded %zu entries from %s\n",
-                    cache.size(), cache_path.c_str());
+    tool::cli::loadCache(cache, cache_path);
     const campaign::CampaignEngine engine(engine_opts);
 
     // 1-process run, streaming the JSONL export as workers finish.
@@ -331,21 +314,8 @@ main(int argc, char **argv)
         ok &= expectCell(report, row, 2, '.');
     }
 
-    if (!cache_path.empty()) {
-        std::string error, lockWarning;
-        if (cache.saveToFile(cache_path, fingerprint, &error,
-                             &lockWarning))
-            std::printf("cache: saved %zu entries to %s\n",
-                        cache.size(), cache_path.c_str());
-        else {
-            std::fprintf(stderr, "cache save failed: %s\n",
-                         error.c_str());
-            ok = false;
-        }
-        if (!lockWarning.empty())
-            std::fprintf(stderr, "cache save degraded: %s\n",
-                         lockWarning.c_str());
-    }
+    // The warm rerun is part of the demo: a failed save fails it.
+    ok &= tool::cli::saveCache(cache, cache_path);
     std::printf("wrote %s\n%s\n", jsonl_path.c_str(),
                 ok ? "OK: out-of-tree attack ran the full pipeline"
                    : "FAILED");

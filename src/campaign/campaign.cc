@@ -46,11 +46,11 @@ resolveAttacks(const ScenarioSpec &spec)
         rows.push_back(d);
     }
     for (const std::string &name : spec.attackNames) {
-        const core::AttackDescriptor *d = catalog.findAttack(name);
-        if (d == nullptr) {
-            throw std::invalid_argument(core::unknownNameMessage(
-                "attack", name, catalog.attackSuggestions(name)));
-        }
+        std::string error;
+        const core::AttackDescriptor *d =
+            catalog.lookupAttack(name, error);
+        if (d == nullptr)
+            throw std::invalid_argument(error);
         rows.push_back(d);
     }
     if (rows.empty()) {

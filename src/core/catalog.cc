@@ -248,6 +248,17 @@ ScenarioCatalog::attackSuggestions(const std::string &name,
     return suggestNames(candidates, name, max);
 }
 
+const AttackDescriptor *
+ScenarioCatalog::lookupAttack(const std::string &name,
+                              std::string &error) const
+{
+    const AttackDescriptor *d = findAttack(name);
+    if (d == nullptr)
+        error = unknownNameMessage("attack", name,
+                                   attackSuggestions(name));
+    return d;
+}
+
 const DefenseDescriptor &
 ScenarioCatalog::registerDefense(DefenseDescriptor descriptor)
 {

@@ -400,6 +400,14 @@ class ScenarioCatalog
     std::vector<std::string>
     attackSuggestions(const std::string &name, std::size_t max = 3) const;
 
+    /**
+     * The attack called @p name, or nullptr with the unknown-name
+     * message (and its "did you mean" list) in @p error — the one
+     * lookup every name-taking CLI flag and spec row goes through.
+     */
+    const AttackDescriptor *lookupAttack(const std::string &name,
+                                         std::string &error) const;
+
     /// @}
     /// @name Defenses
     /// @{

@@ -15,14 +15,14 @@
  * pin, 2 usage error.
  */
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/catalog.hh"
 #include "lint/lint.hh"
+#include "tool/cli.hh"
+#include "tool/report.hh"
 
 namespace
 {
@@ -56,47 +56,31 @@ goldenPath(const std::string &dir, const std::string &attack)
     return dir + "/lint-" + lint::lintFileSlug(attack) + ".json";
 }
 
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream os;
-    os << in.rdbuf();
-    out = os.str();
-    return true;
-}
-
-/** Resolve attack args (or default to every static-program attack). */
-int
-resolveTargets(const std::vector<std::string> &args,
-               std::vector<const core::AttackDescriptor *> &out)
+/** Resolve attack args (or default to every static-program attack);
+ *  an unknown or unlintable name is a usage error. */
+std::vector<const core::AttackDescriptor *>
+resolveTargets(const std::vector<std::string> &args)
 {
     core::ScenarioCatalog &catalog = core::ScenarioCatalog::instance();
+    std::vector<const core::AttackDescriptor *> out;
     if (args.empty()) {
         for (const core::AttackDescriptor *d : catalog.attacks())
             if (d->staticProgram)
                 out.push_back(d);
-        return 0;
+        return out;
     }
     for (const std::string &name : args) {
-        const core::AttackDescriptor *d = catalog.findAttack(name);
-        if (d == nullptr) {
-            std::cerr << core::unknownNameMessage(
-                             "attack", name,
-                             catalog.attackSuggestions(name))
-                      << "\n";
-            return 2;
-        }
-        if (!d->staticProgram) {
-            std::cerr << "attack '" << d->name
-                      << "' has no static program to lint\n";
-            return 2;
-        }
+        std::string error;
+        const core::AttackDescriptor *d =
+            catalog.lookupAttack(name, error);
+        if (d == nullptr)
+            tool::cli::fail(error);
+        if (!d->staticProgram)
+            tool::cli::fail("attack '" + d->name +
+                            "' has no static program to lint");
         out.push_back(d);
     }
-    return 0;
+    return out;
 }
 
 } // namespace
@@ -108,17 +92,15 @@ main(int argc, char **argv)
     std::string goldenDir = "golden";
     std::vector<std::string> attackArgs;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    for (tool::cli::Args args(argc, argv); args.next();) {
+        const std::string &arg = args.arg();
         if (arg == "--list-rules" || arg == "--show" ||
             arg == "--check" || arg == "--record") {
             if (!mode.empty())
                 return usage(std::cerr, 2);
             mode = arg;
         } else if (arg == "--golden-dir") {
-            if (++i >= argc)
-                return usage(std::cerr, 2);
-            goldenDir = argv[i];
+            goldenDir = args.value();
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "unknown option '" << arg << "'\n";
             return usage(std::cerr, 2);
@@ -133,9 +115,8 @@ main(int argc, char **argv)
     if (mode == "--show" && attackArgs.size() != 1)
         return usage(std::cerr, 2);
 
-    std::vector<const core::AttackDescriptor *> targets;
-    if (int rc = resolveTargets(attackArgs, targets); rc != 0)
-        return rc;
+    const std::vector<const core::AttackDescriptor *> targets =
+        resolveTargets(attackArgs);
 
     if (mode == "--show") {
         std::cout << lint::lintReportJson(
@@ -150,18 +131,17 @@ main(int argc, char **argv)
         findings += fresh.findings.size();
         const std::string path = goldenPath(goldenDir, d->name);
         if (mode == "--record") {
-            std::ofstream out(path, std::ios::binary);
-            if (!out) {
+            if (!tool::writeTextFile(path,
+                                     lint::lintReportJson(fresh))) {
                 std::cerr << "cannot write " << path << "\n";
                 return 2;
             }
-            out << lint::lintReportJson(fresh);
             std::cout << "recorded " << path << " ("
                       << fresh.findings.size() << " findings)\n";
             continue;
         }
         std::string text;
-        if (!readFile(path, text)) {
+        if (!tool::readTextFile(path, text)) {
             std::cerr << d->name << ": missing lint pin " << path
                       << " (run --record)\n";
             ++failures;

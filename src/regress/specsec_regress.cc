@@ -39,11 +39,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,6 +49,7 @@
 #include "regress/golden.hh"
 #include "regress/specs.hh"
 #include "serve/client.hh"
+#include "tool/cli.hh"
 #include "tool/report.hh"
 #include "tool/report_io.hh"
 #include "verdict/differential.hh"
@@ -61,6 +59,7 @@
 
 using namespace specsec;
 using namespace specsec::regress;
+namespace cli = specsec::tool::cli;
 
 namespace
 {
@@ -150,28 +149,6 @@ usage(const char *prog)
 }
 
 bool
-flipVuln(const std::string &path, uarch::VulnConfig &vuln)
-{
-    if (path == "meltdown")
-        vuln.meltdown = !vuln.meltdown;
-    else if (path == "l1tf")
-        vuln.l1tf = !vuln.l1tf;
-    else if (path == "mds")
-        vuln.mds = !vuln.mds;
-    else if (path == "lazyfp")
-        vuln.lazyFp = !vuln.lazyFp;
-    else if (path == "store-bypass")
-        vuln.storeBypass = !vuln.storeBypass;
-    else if (path == "msr")
-        vuln.msr = !vuln.msr;
-    else if (path == "taa")
-        vuln.taa = !vuln.taa;
-    else
-        return false;
-    return true;
-}
-
-bool
 ensureDir(const std::string &dir)
 {
     std::error_code ec;
@@ -183,10 +160,8 @@ std::string
 shardFileName(const std::string &spec, std::size_t index,
               std::size_t count)
 {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, ".shard-%zu-of-%zu.json", index,
-                  count);
-    return spec + buf;
+    return spec + ".shard-" + std::to_string(index) + "-of-" +
+           std::to_string(count) + ".json";
 }
 
 /** Exit-code bookkeeping shared by --check and --merge. */
@@ -299,29 +274,11 @@ mergeShards(const NamedSpec &named, const std::string &shard_dir)
     // Deterministic fold order regardless of directory order.
     std::sort(files.begin(), files.end());
 
-    std::optional<campaign::CampaignReport> merged;
-    for (const std::string &path : files) {
-        std::string text;
-        if (!tool::readTextFile(path, text)) {
-            std::fprintf(stderr, "cannot read %s\n", path.c_str());
-            return std::nullopt;
-        }
-        std::string error;
-        auto shard = tool::parseShardReportJson(text, &error);
-        if (!shard) {
-            std::fprintf(stderr, "%s: malformed shard report: %s\n",
-                         path.c_str(), error.c_str());
-            return std::nullopt;
-        }
-        if (!merged) {
-            merged = std::move(*shard);
-            continue;
-        }
-        if (!merged->merge(*shard, &error)) {
-            std::fprintf(stderr, "%s: merge conflict: %s\n",
-                         path.c_str(), error.c_str());
-            return std::nullopt;
-        }
+    std::string error;
+    auto merged = tool::mergeShardFiles(files, &error);
+    if (!merged) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return std::nullopt;
     }
     if (merged->partial()) {
         std::fprintf(stderr,
@@ -510,7 +467,7 @@ main(int argc, char **argv)
     std::string shard_dir = "regress-shards";
     std::string cache_file;
     std::string connect_endpoint;
-    std::string flip;
+    const uarch::VulnPath *flip = nullptr;
     std::string format_from;
     bool list_json = false;
     bool backend_given = false;
@@ -522,16 +479,8 @@ main(int argc, char **argv)
     bool sharded = false;
     campaign::CampaignEngine::Options engine_opts;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
+    for (cli::Args args(argc, argv); args.next();) {
+        const std::string &arg = args.arg();
         if (arg == "--list")
             mode = Mode::List;
         else if (arg == "--record")
@@ -543,147 +492,102 @@ main(int argc, char **argv)
         else if (arg == "--json")
             list_json = true;
         else if (arg == "--backend") {
-            const std::string name = value();
-            if (!verdict::parseBackend(name, backend)) {
-                std::fprintf(
-                    stderr, "%s\n",
-                    verdict::unknownBackendMessage(name).c_str());
-                return 2;
-            }
+            backend = args.backend();
             backend_given = true;
         } else if (arg == "--spec")
-            only_spec = value();
+            only_spec = args.value();
         else if (arg == "--golden-dir")
-            golden_dir = value();
+            golden_dir = args.value();
         else if (arg == "--artifact-dir")
-            artifact_dir = value();
+            artifact_dir = args.value();
         else if (arg == "--shard-dir")
-            shard_dir = value();
+            shard_dir = args.value();
         else if (arg == "--cache-file")
-            cache_file = value();
+            cache_file = args.value();
         else if (arg == "--connect")
-            connect_endpoint = value();
+            connect_endpoint = args.value();
         else if (arg == "--with-accuracy")
             with_accuracy = true;
         else if (arg == "--accuracy-eps") {
-            const char *v = value();
+            const std::string v = args.value();
             char *end = nullptr;
-            const double eps = std::strtod(v, &end);
-            if (*v == '\0' || end == nullptr || *end != '\0' ||
-                !std::isfinite(eps) || eps < 0.0) {
-                std::fprintf(stderr,
-                             "--accuracy-eps: '%s' is not a "
-                             "non-negative number\n",
-                             v);
-                return 2;
-            }
+            const double eps = std::strtod(v.c_str(), &end);
+            if (v.empty() || end == nullptr || *end != '\0' ||
+                !std::isfinite(eps) || eps < 0.0)
+                cli::fail("--accuracy-eps: '" + v +
+                                "' is not a non-negative number");
             accuracy_eps = eps;
         } else if (arg == "--format-from")
-            format_from = value();
+            format_from = args.value();
         else if (arg == "--shard") {
-            if (!campaign::parseShardRange(value(), shard)) {
-                std::fprintf(stderr,
-                             "--shard: expected I/N with I < N\n");
-                return 2;
-            }
+            if (!campaign::parseShardRange(args.value(), shard))
+                cli::fail("--shard: expected I/N with I < N");
             sharded = true;
-        } else if (arg == "--workers") {
-            const char *v = value();
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v, &end, 10);
-            if (*v == '\0' || end == nullptr || *end != '\0') {
-                std::fprintf(stderr,
-                             "--workers: '%s' is not a number\n",
-                             v);
-                return 2;
+        } else if (arg == "--workers")
+            engine_opts.workers = args.workers();
+        else if (arg == "--flip-vuln") {
+            // Checked here, before any connect or cache load, so a
+            // typo is reported as a typo.
+            const std::string name = args.value();
+            flip = uarch::findVulnPath(name);
+            if (flip == nullptr) {
+                std::vector<std::string> names;
+                for (const uarch::VulnPath &path : uarch::kVulnPaths)
+                    names.push_back(path.name);
+                cli::fail(core::unknownNameMessage(
+                    "forwarding path", name,
+                    core::suggestNames(names, name)));
             }
-            engine_opts.workers = static_cast<unsigned>(n);
-        } else if (arg == "--flip-vuln")
-            flip = value();
-        else
+        } else
             return usage(argv[0]);
     }
 
-    if (list_json && mode != Mode::List) {
-        std::fprintf(stderr, "--json only applies to --list\n");
-        return 2;
-    }
+    if (list_json && mode != Mode::List)
+        cli::fail("--json only applies to --list");
     if (backend_given) {
-        if (mode != Mode::Check) {
-            std::fprintf(stderr,
-                         "--backend only applies to --check "
-                         "(--record always runs the differential "
-                         "backend; --merge re-joins shard runs)\n");
-            return 2;
-        }
-        if (backend == verdict::VerdictBackend::Model) {
-            std::fprintf(stderr,
-                         "--backend model cannot gate goldens: the "
-                         "model synthesizes verdicts and the golden "
-                         "matrices pin the simulator -- use "
-                         "differential\n");
-            return 2;
-        }
-        if (sharded ||
-            (!connect_endpoint.empty() &&
-             backend != verdict::VerdictBackend::Simulator)) {
-            std::fprintf(stderr,
-                         "--backend cannot be combined with --shard "
-                         "or --connect (shard reports and the serve "
-                         "daemon always carry simulator results)\n");
-            return 2;
-        }
+        if (mode != Mode::Check)
+            cli::fail("--backend only applies to --check (--record "
+                      "always runs the differential backend; --merge "
+                      "re-joins shard runs)");
+        if (backend == verdict::VerdictBackend::Model)
+            cli::fail("--backend model cannot gate goldens: the model "
+                      "synthesizes verdicts and the golden matrices "
+                      "pin the simulator -- use differential");
+        if (sharded || (!connect_endpoint.empty() &&
+                        backend != verdict::VerdictBackend::Simulator))
+            cli::fail("--backend cannot be combined with --shard or "
+                      "--connect (shard reports and the serve daemon "
+                      "always carry simulator results)");
     }
-    if (mode == Mode::Record && !flip.empty()) {
-        // Recording from a deliberately broken core would poison the
-        // goldens: every later --check would pass against the wrong
-        // model.  The flip is a --check self-test only.
-        std::fprintf(stderr,
-                     "--flip-vuln cannot be combined with --record\n");
-        return 2;
-    }
-    if (mode == Mode::Merge && !flip.empty()) {
-        // Merge never executes scenarios, so the flip would be a
-        // silent no-op and the self-test would "pass" vacuously.
-        std::fprintf(stderr,
-                     "--flip-vuln cannot be combined with --merge "
-                     "(merge runs nothing; flip the shard runs "
-                     "instead)\n");
-        return 2;
-    }
-    if (sharded && mode != Mode::Check) {
-        std::fprintf(stderr,
-                     "--shard only applies to --check (goldens and "
-                     "merges need the whole grid)\n");
-        return 2;
-    }
+    // Recording from a deliberately broken core would poison the
+    // goldens: every later --check would pass against the wrong
+    // model.  The flip is a --check self-test only.
+    if (mode == Mode::Record && flip != nullptr)
+        cli::fail("--flip-vuln cannot be combined with --record");
+    // Merge never executes scenarios, so the flip would be a silent
+    // no-op and the self-test would "pass" vacuously.
+    if (mode == Mode::Merge && flip != nullptr)
+        cli::fail("--flip-vuln cannot be combined with --merge (merge "
+                  "runs nothing; flip the shard runs instead)");
+    if (sharded && mode != Mode::Check)
+        cli::fail("--shard only applies to --check (goldens and "
+                  "merges need the whole grid)");
     if (!connect_endpoint.empty()) {
-        if (mode != Mode::Check) {
-            std::fprintf(stderr,
-                         "--connect only applies to --check "
-                         "(goldens are recorded from the local "
-                         "model)\n");
-            return 2;
-        }
-        if (sharded || !cache_file.empty()) {
-            // Remote runs already share the daemon's cache and
-            // its worker pool; client-side shards and caches
-            // would only obscure whose results a check used.
-            std::fprintf(stderr,
-                         "--connect cannot be combined with "
-                         "--shard or --cache-file (the daemon "
-                         "owns both concerns)\n");
-            return 2;
-        }
+        if (mode != Mode::Check)
+            cli::fail("--connect only applies to --check (goldens are "
+                      "recorded from the local model)");
+        // Remote runs already share the daemon's cache and its
+        // worker pool; client-side shards and caches would only
+        // obscure whose results a check used.
+        if (sharded || !cache_file.empty())
+            cli::fail("--connect cannot be combined with --shard or "
+                      "--cache-file (the daemon owns both concerns)");
     }
     if (mode != Mode::Record &&
-        (with_accuracy || accuracy_eps || !format_from.empty())) {
-        std::fprintf(stderr,
-                     "--with-accuracy / --accuracy-eps / "
-                     "--format-from only apply to --record (--check "
-                     "follows the committed golden's format)\n");
-        return 2;
-    }
+        (with_accuracy || accuracy_eps || !format_from.empty()))
+        cli::fail("--with-accuracy / --accuracy-eps / --format-from "
+                  "only apply to --record (--check follows the "
+                  "committed golden's format)");
     if (format_from.empty())
         format_from = golden_dir;
 
@@ -724,12 +628,8 @@ main(int argc, char **argv)
         std::vector<std::string> names;
         for (const NamedSpec &named : registeredSpecs())
             names.push_back(named.name);
-        std::fprintf(stderr, "%s\n",
-                     core::unknownNameMessage(
-                         "spec", only_spec,
-                         core::suggestNames(names, only_spec))
-                         .c_str());
-        return 2;
+        cli::fail(core::unknownNameMessage(
+            "spec", only_spec, core::suggestNames(names, only_spec)));
     }
 
     campaign::ResultCache cache;
@@ -742,50 +642,28 @@ main(int argc, char **argv)
     else if (mode == Mode::Check)
         engine_opts.backend = backend;
     const campaign::CampaignEngine engine(engine_opts);
-    const std::string fingerprint = campaign::modelFingerprint();
     serve::Client client;
     if (!connect_endpoint.empty()) {
-        serve::net::Endpoint endpoint;
-        std::string error;
-        if (!serve::net::parseEndpoint(connect_endpoint, endpoint,
-                                       &error) ||
-            !client.connect(endpoint, &error)) {
-            std::fprintf(stderr, "connect %s: %s\n",
-                         connect_endpoint.c_str(), error.c_str());
+        if (!cli::connect(connect_endpoint, client))
             return 2;
-        }
         std::printf("connected to %s (%u server workers)\n",
                     connect_endpoint.c_str(),
                     client.serverWorkers());
     }
-    if (!cache_file.empty() && mode != Mode::Merge) {
-        std::string error;
-        if (cache.loadFromFile(cache_file, fingerprint, &error))
-            std::printf("cache    loaded %zu entries from %s\n",
-                        cache.size(), cache_file.c_str());
-        else
-            std::printf("cache    cold start (%s)\n",
-                        error.c_str());
-    }
+    // --merge runs nothing, so it neither reads nor writes the cache.
+    if (mode != Mode::Merge)
+        cli::loadCache(cache, cache_file);
 
-    if (mode == Mode::Record && !ensureDir(golden_dir)) {
-        std::fprintf(stderr, "cannot create %s\n",
-                     golden_dir.c_str());
-        return 2;
-    }
-    if (sharded && !ensureDir(shard_dir)) {
-        std::fprintf(stderr, "cannot create %s\n",
-                     shard_dir.c_str());
-        return 2;
-    }
+    if (mode == Mode::Record && !ensureDir(golden_dir))
+        cli::fail("cannot create " + golden_dir);
+    if (sharded && !ensureDir(shard_dir))
+        cli::fail("cannot create " + shard_dir);
 
     GateStatus status;
     for (NamedSpec &named : selected) {
-        if (!flip.empty() &&
-            !flipVuln(flip, named.spec.baseConfig.vuln)) {
-            std::fprintf(stderr, "unknown --flip-vuln path '%s'\n",
-                         flip.c_str());
-            return 2;
+        if (flip != nullptr) {
+            bool &path = named.spec.baseConfig.vuln.*flip->flag;
+            path = !path;
         }
 
         if (mode == Mode::Merge) {
@@ -909,19 +787,9 @@ main(int argc, char **argv)
                                artifact_dir, status);
     }
 
-    if (!cache_file.empty() && mode != Mode::Merge) {
-        std::string error, lockWarning;
-        if (cache.saveToFile(cache_file, fingerprint, &error,
-                             &lockWarning))
-            std::printf("cache    saved %zu entries to %s\n",
-                        cache.size(), cache_file.c_str());
-        else
-            std::fprintf(stderr, "cache    save failed: %s\n",
-                         error.c_str());
-        if (!lockWarning.empty())
-            std::fprintf(stderr, "cache    save degraded: %s\n",
-                         lockWarning.c_str());
-    }
+    // A failed cache save only costs the next run its warm start.
+    if (mode != Mode::Merge)
+        cli::saveCache(cache, cache_file);
 
     if (status.io_error)
         return 2;

@@ -1,7 +1,6 @@
 #include "net.hh"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -13,6 +12,8 @@
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
+
+#include "tool/cli.hh"
 
 namespace specsec::serve::net
 {
@@ -68,19 +69,14 @@ parseEndpoint(const std::string &text, Endpoint &endpoint,
     const std::size_t colon = text.rfind(':');
     if (colon == std::string::npos)
         return fail(error, "expected HOST:PORT, got '" + text + "'");
-    const std::string port_text = text.substr(colon + 1);
-    if (port_text.empty() ||
-        port_text.find_first_not_of("0123456789") !=
-            std::string::npos)
-        return fail(error,
-                    "bad port in '" + text + "' (decimal required)");
-    const unsigned long port = std::strtoul(port_text.c_str(),
-                                            nullptr, 10);
-    if (port == 0 || port > 65535)
-        return fail(error, "port out of range in '" + text + "'");
+    std::uint16_t port = 0;
+    if (!tool::cli::parseUnsigned(text.substr(colon + 1), port) ||
+        port == 0)
+        return fail(error, "bad port in '" + text +
+                               "' (decimal 1-65535 required)");
     endpoint.host =
         colon == 0 ? std::string("127.0.0.1") : text.substr(0, colon);
-    endpoint.port = static_cast<std::uint16_t>(port);
+    endpoint.port = port;
     return true;
 }
 

@@ -241,7 +241,8 @@ writeTextFile(const std::string &path, const std::string &contents)
     if (!f)
         return false;
     f << contents;
-    return static_cast<bool>(f);
+    f.close(); // a failed flush of the last buffer fails the write
+    return !f.fail();
 }
 
 bool

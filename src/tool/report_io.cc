@@ -264,4 +264,38 @@ parseShardReportJson(const std::string &text, std::string *error)
     return report;
 }
 
+std::optional<campaign::CampaignReport>
+mergeShardFiles(const std::vector<std::string> &paths,
+                std::string *error, bool *conflict)
+{
+    const auto fail = [error](const std::string &message) {
+        if (error)
+            *error = message;
+        return std::nullopt;
+    };
+    std::optional<campaign::CampaignReport> merged;
+    for (const std::string &path : paths) {
+        std::string text;
+        if (!readTextFile(path, text))
+            return fail("cannot read " + path);
+        std::string reason;
+        auto shard = parseShardReportJson(text, &reason);
+        if (!shard)
+            return fail(path + ": malformed shard report: " +
+                        reason);
+        if (!merged) {
+            merged = std::move(*shard);
+            continue;
+        }
+        if (!merged->merge(*shard, &reason)) {
+            if (conflict)
+                *conflict = true;
+            return fail(path + ": merge conflict: " + reason);
+        }
+    }
+    if (!merged)
+        return fail("no shard report files given");
+    return merged;
+}
+
 } // namespace specsec::tool

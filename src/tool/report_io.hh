@@ -28,6 +28,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "campaign/campaign.hh"
 #include "jsonio.hh"
@@ -52,6 +53,18 @@ std::string shardReportJson(const campaign::CampaignReport &report);
 std::optional<campaign::CampaignReport>
 parseShardReportJson(const std::string &text,
                      std::string *error = nullptr);
+
+/**
+ * Read, parse and fold the shard reports at @p paths, in order, with
+ * CampaignReport::merge — the merge step of `campaign_cli merge` and
+ * `specsec_regress --merge`.  The result may still be partial();
+ * each caller decides whether that is an error.  @return nullopt
+ * with a message naming the file in @p error; @p conflict is set
+ * when the files parse but do not fold together.
+ */
+std::optional<campaign::CampaignReport>
+mergeShardFiles(const std::vector<std::string> &paths,
+                std::string *error = nullptr, bool *conflict = nullptr);
 
 /**
  * @name Execution-result JSON fragments.

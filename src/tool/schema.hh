@@ -390,9 +390,9 @@ const RecordSchema<uarch::CpuStats> &cpuStatsSchema();
  * The schema-version tag embedded in shard report files: the
  * combined tags of every schema the wire format is derived from.  A
  * producer and a consumer interoperate exactly when their tags
- * match; parseShardReportJson rejects a mismatch with a message
- * naming both tags, so CampaignReport::merge never sees misparsed
- * outcomes from a binary with a different field list.
+ * match; the shard-report parser (report_io.hh) rejects a mismatch
+ * with a message naming both tags, so CampaignReport::merge never
+ * sees misparsed outcomes from a binary with a different field list.
  */
 std::string wireSchemaTag();
 

@@ -32,6 +32,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "buffers.hh"
@@ -55,6 +56,40 @@ struct VulnConfig
     bool msr = true;         ///< RDMSR forwards before privilege check
     bool taa = true;         ///< aborting-transaction loads forward residue
 };
+
+/**
+ * One VulnConfig forwarding path by name: the missing security
+ * dependency each Meltdown-type attack exploits.  kVulnPaths is the
+ * one name table behind the "no-mds+no-taa" summaries, the
+ * vuln-ablation spec and the --vuln-ablate / --flip-vuln flags.
+ */
+struct VulnPath
+{
+    const char *name;
+    bool VulnConfig::*flag;
+};
+
+inline constexpr std::array<VulnPath, 7> kVulnPaths{{
+    {"meltdown", &VulnConfig::meltdown},
+    {"l1tf", &VulnConfig::l1tf},
+    {"mds", &VulnConfig::mds},
+    {"lazyfp", &VulnConfig::lazyFp},
+    {"store-bypass", &VulnConfig::storeBypass},
+    {"msr", &VulnConfig::msr},
+    {"taa", &VulnConfig::taa},
+}};
+static_assert(sizeof(VulnConfig) == kVulnPaths.size(),
+              "every VulnConfig flag needs a kVulnPaths name");
+
+/** @return the kVulnPaths entry called @p name, or nullptr. */
+inline const VulnPath *
+findVulnPath(std::string_view name)
+{
+    for (const VulnPath &path : kVulnPaths)
+        if (name == path.name)
+            return &path;
+    return nullptr;
+}
 
 /** Hardware defense knobs, each mapped to a paper strategy. */
 struct HwDefenseConfig

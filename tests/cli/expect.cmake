@@ -1,7 +1,7 @@
 # One CLI contract case: run a command, then check its exit code and
 # (optionally) that its combined stdout+stderr matches a regex.
 #
-#   cmake -DEXIT=<code> [-DREGEX=<regex>] [-DWORKDIR=<dir>]
+#   cmake -DEXIT=<code> [-DREGEX=<regex>] -DWORKDIR=<dir>
 #         -P expect.cmake -- <program> [args...]
 #
 # Arguments may not contain ';' (CMake's list separator).
@@ -18,9 +18,6 @@ foreach(i RANGE ${last})
 endforeach()
 if(NOT cmd)
   message(FATAL_ERROR "expect.cmake: no command after --")
-endif()
-if(NOT DEFINED WORKDIR)
-  set(WORKDIR ".")
 endif()
 file(MAKE_DIRECTORY "${WORKDIR}")
 
