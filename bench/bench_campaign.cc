@@ -40,6 +40,8 @@ main(int argc, char **argv)
             json_path = args.value();
         else if (args.arg() == "--workers")
             parallel_workers = args.workers(1);
+        else
+            tool::cli::fail("unknown option '" + args.arg() + "'");
     }
 
     bench::header("campaign engine: serial vs. parallel sweep");

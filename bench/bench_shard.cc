@@ -14,11 +14,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 
 #include "bench_util.hh"
 #include "campaign/campaign.hh"
 #include "regress/specs.hh"
+#include "tool/cli.hh"
 #include "tool/report.hh"
 #include "tool/report_io.hh"
 
@@ -42,9 +42,12 @@ int
 main(int argc, char **argv)
 {
     std::string json_path = "BENCH_shard.json";
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
+    for (tool::cli::Args args(argc, argv); args.next();) {
+        if (args.arg() == "--json")
+            json_path = args.value();
+        else
+            tool::cli::fail("unknown option '" + args.arg() + "'");
+    }
 
     bench::header("sharded campaign: 1 process vs. shard+merge");
     const regress::NamedSpec *named =

@@ -11,12 +11,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "campaign/campaign.hh"
+#include "tool/cli.hh"
 #include "verdict/model.hh"
 #include "verdict/static_verdict.hh"
 
@@ -40,9 +40,11 @@ int
 main(int argc, char **argv)
 {
     std::string json_path = "BENCH_verdict.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
+    for (tool::cli::Args args(argc, argv); args.next();) {
+        if (args.arg() == "--json")
+            json_path = args.value();
+        else
+            tool::cli::fail("unknown option '" + args.arg() + "'");
     }
 
     bench::header("verdict backends: model vs. simulator");

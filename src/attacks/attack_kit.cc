@@ -1,6 +1,6 @@
 #include "attack_kit.hh"
 
-#include <algorithm>
+#include <bitset>
 
 #include "phase.hh"
 #include "snapshot.hh"
@@ -78,36 +78,38 @@ Scenario::readBytes(Addr vaddr, std::size_t len) const
 }
 
 ChannelHarness::ChannelHarness(Cpu &cpu, CovertChannelKind kind)
-    : cpu_(cpu), kind_(kind),
-      fr_(cpu, Layout::kProbeArray, 256, uarch::kPageSize),
-      pp_(cpu, Layout::kEvictArray, 256)
+    : cpu_(cpu), kind_(kind)
 {
+    if (kind_ == CovertChannelKind::FlushReload)
+        fr_.emplace(cpu, Layout::kProbeArray, kSlots, uarch::kPageSize);
+    else
+        pp_.emplace(cpu, Layout::kEvictArray, kSlots);
 }
 
 void
 ChannelHarness::setup()
 {
     if (kind_ == CovertChannelKind::FlushReload)
-        fr_.setup();
+        fr_->setup();
     else
-        pp_.prime();
+        pp_->prime();
 }
 
 int
 ChannelHarness::recover(const std::vector<int> &exclude)
 {
     const uarch::ChannelRecovery r =
-        kind_ == CovertChannelKind::FlushReload ? fr_.recover()
-                                                : pp_.recover();
-    const auto excluded = [&exclude](std::size_t i) {
-        return std::find(exclude.begin(), exclude.end(),
-                         static_cast<int>(i)) != exclude.end();
-    };
+        kind_ == CovertChannelKind::FlushReload ? fr_->recover()
+                                                : pp_->recover();
+    std::bitset<kSlots> excluded;
+    for (const int slot : exclude)
+        if (slot >= 0 && static_cast<std::size_t>(slot) < kSlots)
+            excluded.set(static_cast<std::size_t>(slot));
     int best = -1;
     if (kind_ == CovertChannelKind::FlushReload) {
-        std::uint32_t best_lat = fr_.threshold();
+        std::uint32_t best_lat = fr_->threshold();
         for (std::size_t i = 0; i < r.latencies.size(); ++i) {
-            if (excluded(i))
+            if (excluded[i])
                 continue;
             if (r.latencies[i] < best_lat) {
                 best_lat = r.latencies[i];
@@ -120,7 +122,7 @@ ChannelHarness::recover(const std::vector<int> &exclude)
             c.ways * c.hitLatency + c.missLatency - c.hitLatency;
         std::uint32_t best_lat = floor - 1;
         for (std::size_t i = 0; i < r.latencies.size(); ++i) {
-            if (excluded(i))
+            if (excluded[i])
                 continue;
             if (r.latencies[i] > best_lat) {
                 best_lat = r.latencies[i];

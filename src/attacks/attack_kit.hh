@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -133,10 +134,15 @@ class ChannelHarness
     CovertChannelKind kind() const { return kind_; }
 
   private:
+    /// Probe slots of either channel: one per byte value.
+    static constexpr std::size_t kSlots = 256;
+
     Cpu &cpu_;
     CovertChannelKind kind_;
-    uarch::FlushReloadChannel fr_;
-    uarch::PrimeProbeChannel pp_;
+    // Only the receiver of kind_ exists: each builds its address
+    // list up front.
+    std::optional<uarch::FlushReloadChannel> fr_;
+    std::optional<uarch::PrimeProbeChannel> pp_;
 };
 
 /** Options shared by the attack runners. */

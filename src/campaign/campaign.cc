@@ -96,6 +96,31 @@ millisSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
+/**
+ * Run @p worker on min(@p workers, @p items) threads and join them;
+ * one thread runs it inline.  A thread beyond the item count would
+ * find nothing to claim and only cost its start-up.
+ * @return the number of threads the worker ran on.
+ */
+unsigned
+runPool(unsigned workers, std::size_t items,
+        const std::function<void()> &worker)
+{
+    const auto n =
+        static_cast<unsigned>(std::min<std::size_t>(workers, items));
+    if (n <= 1) {
+        worker();
+        return 1;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(n);
+    for (unsigned w = 0; w < n; ++w)
+        pool.emplace_back(worker);
+    for (std::thread &t : pool)
+        t.join();
+    return n;
+}
+
 std::vector<SoftwareMitigation>
 resolveMitigations(const ScenarioSpec &spec)
 {
@@ -830,18 +855,7 @@ executeKeyBatch(
                 cancelled.store(true, std::memory_order_relaxed);
         }
     };
-    if (workers <= 1 || keys.size() <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        const unsigned n = std::min<std::size_t>(
-            workers, keys.size());
-        pool.reserve(n);
-        for (unsigned w = 0; w < n; ++w)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
+    runPool(workers, keys.size(), worker);
     return true;
 }
 
@@ -1048,18 +1062,9 @@ CampaignEngine::run(const ScenarioSpec &spec,
         }
     };
 
-    if (nworkers <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(nworkers);
-        for (unsigned w = 0; w < nworkers; ++w)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
-
     CampaignFooter footer;
+    footer.threads =
+        runPool(nworkers, sel.uniquePositions.size(), worker);
     footer.cacheHits = cacheHits.load(std::memory_order_relaxed);
     footer.executedCount =
         sel.uniquePositions.size() - footer.cacheHits;

@@ -70,6 +70,10 @@ struct CampaignFooter
     std::size_t modelDecided = 0;
     std::size_t modelUndecided = 0;
     std::size_t disagreements = 0;
+
+    /// Worker threads the run started: the configured worker count
+    /// clamped to the cells to execute (1 when it ran inline).
+    unsigned threads = 0;
 };
 
 /** Receives a run's outcomes as workers complete them. */

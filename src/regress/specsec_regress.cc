@@ -16,9 +16,10 @@
  * --check exits 0 when every matrix matches its golden, 1 on drift
  * (printing a diff naming each changed (variant, defense) cell and
  * writing actual/diff/campaign artifacts for CI upload), 2 on usage
- * or I/O errors.  --flip-vuln PATH deliberately removes a forwarding
- * path from the checked specs' baseline core -- a self-test that the
- * gate catches model changes.
+ * or I/O errors, an artifact that cannot be written included.
+ * --flip-vuln PATH deliberately removes a forwarding path from the
+ * checked specs' baseline core -- a self-test that the gate catches
+ * model changes.
  *
  * Sharded operation fans one gate across processes: `--check
  * --shard I/N` executes shard I of every selected spec and writes a
@@ -42,6 +43,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/sink.hh"
@@ -156,6 +158,37 @@ ensureDir(const std::string &dir)
     return !ec;
 }
 
+/**
+ * Write drift artifacts @p name + suffix under @p artifact_dir,
+ * reporting each failed write on stderr.  "artifacts under DIR/" is
+ * printed only when every file was written, so CI never uploads an
+ * incomplete set without a word.  @return false on any failure.
+ */
+bool
+writeArtifacts(
+    const std::string &artifact_dir, const std::string &name,
+    const std::vector<std::pair<std::string, std::string>> &files)
+{
+    if (!ensureDir(artifact_dir)) {
+        std::fprintf(stderr, "cannot create artifact directory %s\n",
+                     artifact_dir.c_str());
+        return false;
+    }
+    bool ok = true;
+    for (const auto &[suffix, text] : files) {
+        const std::string path = artifact_dir + "/" + name + suffix;
+        if (!tool::writeTextFile(path, text)) {
+            std::fprintf(stderr, "cannot write artifact %s\n",
+                         path.c_str());
+            ok = false;
+        }
+    }
+    if (ok)
+        std::printf("         artifacts under %s/\n",
+                    artifact_dir.c_str());
+    return ok;
+}
+
 std::string
 shardFileName(const std::string &spec, std::size_t index,
               std::size_t count)
@@ -226,18 +259,14 @@ checkAgainstGolden(const NamedSpec &named,
                 "change(s):\n%s",
                 named.name.c_str(), diff.structural.size(),
                 diff.cells.size(), renderDiff(diff).c_str());
-    if (ensureDir(artifact_dir)) {
-        const std::string stem = artifact_dir + "/" + named.name;
-        tool::writeTextFile(stem + ".actual.json",
-                            goldenJson(actual));
-        tool::writeTextFile(stem + ".diff.txt", renderDiff(diff));
-        tool::writeTextFile(stem + ".campaign.json",
-                            tool::campaignJson(report, false));
-        tool::writeTextFile(stem + ".campaign.csv",
-                            tool::campaignCsv(report, false));
-        std::printf("         artifacts under %s/\n",
-                    artifact_dir.c_str());
-    }
+    if (!writeArtifacts(artifact_dir, named.name,
+                        {{".actual.json", goldenJson(actual)},
+                         {".diff.txt", renderDiff(diff)},
+                         {".campaign.json",
+                          tool::campaignJson(report, false)},
+                         {".campaign.csv",
+                          tool::campaignCsv(report, false)}}))
+        status.io_error = true;
 }
 
 /**
@@ -398,18 +427,14 @@ checkDisagreements(const NamedSpec &named,
                 named.name.c_str(), drift.size());
     for (const std::string &line : drift)
         std::printf("  %s\n", line.c_str());
-    if (ensureDir(artifact_dir)) {
-        const std::string stem = artifact_dir + "/" + named.name;
-        tool::writeTextFile(stem + ".disagreements.json",
-                            verdict::disagreementJson(fresh));
-        std::string lines;
-        for (const std::string &line : drift)
-            lines += line + "\n";
-        tool::writeTextFile(stem + ".disagreement-drift.txt",
-                            lines);
-        std::printf("         artifacts under %s/\n",
-                    artifact_dir.c_str());
-    }
+    std::string lines;
+    for (const std::string &line : drift)
+        lines += line + "\n";
+    if (!writeArtifacts(artifact_dir, named.name,
+                        {{".disagreements.json",
+                          verdict::disagreementJson(fresh)},
+                         {".disagreement-drift.txt", lines}}))
+        status.io_error = true;
 }
 
 /**

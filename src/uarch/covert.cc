@@ -5,10 +5,37 @@
 namespace specsec::uarch
 {
 
+namespace
+{
+
+/**
+ * A receiver's eviction lines for cache sets [0, @p slots): set s,
+ * way w at base + s * lineSize + w * (sets * lineSize), all ways of
+ * one set before the next set -- the order the receiver touches them.
+ * Walking way by way instead would reorder accesses, which changes
+ * LRU decisions whenever slots exceed the number of sets.
+ */
+std::vector<Addr>
+evictionLines(const CacheConfig &c, Addr base, std::size_t slots)
+{
+    const Addr way_stride = c.sets * c.lineSize;
+    std::vector<Addr> lines;
+    lines.reserve(slots * c.ways);
+    for (std::size_t s = 0; s < slots; ++s)
+        for (std::size_t w = 0; w < c.ways; ++w)
+            lines.push_back(base + s * c.lineSize + w * way_stride);
+    return lines;
+}
+
+} // anonymous namespace
+
 FlushReloadChannel::FlushReloadChannel(Cpu &cpu, Addr probe_base,
                                        std::size_t slots, Addr stride)
-    : cpu_(cpu), probeBase_(probe_base), slots_(slots), stride_(stride)
+    : cpu_(cpu), probeBase_(probe_base), slots_(slots), stride_(stride),
+      lines_(slots)
 {
+    for (std::size_t i = 0; i < slots_; ++i)
+        lines_[i] = probeBase_ + i * stride_;
 }
 
 std::uint32_t
@@ -21,8 +48,7 @@ FlushReloadChannel::threshold() const
 void
 FlushReloadChannel::setup()
 {
-    for (std::size_t i = 0; i < slots_; ++i)
-        cpu_.flushLineVirt(probeBase_ + i * stride_);
+    cpu_.flushLinesVirt(lines_);
 }
 
 ChannelRecovery
@@ -30,11 +56,10 @@ FlushReloadChannel::recover()
 {
     ChannelRecovery r;
     r.latencies.resize(slots_);
+    cpu_.timedAccesses(lines_, false, r.latencies);
     std::uint32_t best = UINT32_MAX;
     for (std::size_t i = 0; i < slots_; ++i) {
-        const std::uint32_t lat =
-            cpu_.timedProbe(probeBase_ + i * stride_);
-        r.latencies[i] = lat;
+        const std::uint32_t lat = r.latencies[i];
         if (lat < best) {
             best = lat;
             r.value = static_cast<int>(i);
@@ -47,37 +72,30 @@ FlushReloadChannel::recover()
 
 PrimeProbeChannel::PrimeProbeChannel(Cpu &cpu, Addr evict_base,
                                      std::size_t slots)
-    : cpu_(cpu), evictBase_(evict_base), slots_(slots)
+    : cpu_(cpu), slots_(slots),
+      lines_(evictionLines(cpu.config().cache, evict_base, slots)),
+      latencies_(lines_.size())
 {
 }
 
 void
 PrimeProbeChannel::prime()
 {
-    const CacheConfig &c = cpu_.config().cache;
-    const Addr way_stride = c.sets * c.lineSize;
-    for (std::size_t s = 0; s < slots_; ++s) {
-        for (std::size_t w = 0; w < c.ways; ++w) {
-            cpu_.timedAccess(evictBase_ + s * c.lineSize +
-                             w * way_stride);
-        }
-    }
+    cpu_.timedAccesses(lines_, true, latencies_);
 }
 
 ChannelRecovery
 PrimeProbeChannel::recover()
 {
     const CacheConfig &c = cpu_.config().cache;
-    const Addr way_stride = c.sets * c.lineSize;
+    cpu_.timedAccesses(lines_, true, latencies_);
     ChannelRecovery r;
     r.latencies.resize(slots_);
     std::uint32_t best = 0;
     for (std::size_t s = 0; s < slots_; ++s) {
         std::uint32_t total = 0;
-        for (std::size_t w = 0; w < c.ways; ++w) {
-            total += cpu_.timedAccess(evictBase_ + s * c.lineSize +
-                                      w * way_stride);
-        }
+        for (std::size_t w = 0; w < c.ways; ++w)
+            total += latencies_[s * c.ways + w];
         r.latencies[s] = total;
         if (total > best) {
             best = total;
@@ -92,18 +110,18 @@ PrimeProbeChannel::recover()
 
 EvictTimeChannel::EvictTimeChannel(Cpu &cpu, Addr evict_base,
                                    std::size_t slots)
-    : cpu_(cpu), evictBase_(evict_base), slots_(slots)
+    : cpu_(cpu), slots_(slots),
+      lines_(evictionLines(cpu.config().cache, evict_base, slots)),
+      latencies_(cpu.config().cache.ways)
 {
 }
 
 void
 EvictTimeChannel::evictSet(std::size_t set)
 {
-    const CacheConfig &c = cpu_.config().cache;
-    const Addr way_stride = c.sets * c.lineSize;
-    for (std::size_t w = 0; w < c.ways; ++w)
-        cpu_.timedAccess(evictBase_ + set * c.lineSize +
-                         w * way_stride);
+    const std::size_t ways = latencies_.size();
+    cpu_.timedAccesses(std::span(lines_).subspan(set * ways, ways),
+                       true, latencies_);
 }
 
 ChannelRecovery

@@ -11,6 +11,9 @@
  *
  * Both are implemented at harness level using the CPU's committed
  * access helpers, mirroring what the receiver process would do.
+ * Each receiver builds its address list once (the cache geometry is
+ * fixed per Cpu) and hands it to Cpu::timedAccesses() /
+ * Cpu::flushLinesVirt() in the receiver's access order.
  */
 
 #ifndef SPECSEC_UARCH_COVERT_HH
@@ -62,6 +65,7 @@ class FlushReloadChannel
     Addr probeBase_;
     std::size_t slots_;
     Addr stride_;
+    std::vector<Addr> lines_; ///< slot i at lines_[i]
 };
 
 /**
@@ -89,8 +93,9 @@ class PrimeProbeChannel
 
   private:
     Cpu &cpu_;
-    Addr evictBase_;
     std::size_t slots_;
+    std::vector<Addr> lines_; ///< every way of set 0, then set 1, ...
+    std::vector<std::uint32_t> latencies_; ///< per entry of lines_
 };
 
 /**
@@ -104,7 +109,7 @@ class EvictTimeChannel
     EvictTimeChannel(Cpu &cpu, Addr evict_base,
                      std::size_t slots = 256);
 
-    /** Fill every way of @p set with receiver lines. */
+    /** Fill every way of @p set (< slots) with receiver lines. */
     void evictSet(std::size_t set);
 
     /**
@@ -123,8 +128,9 @@ class EvictTimeChannel
 
   private:
     Cpu &cpu_;
-    Addr evictBase_;
     std::size_t slots_;
+    std::vector<Addr> lines_; ///< every way of set 0, then set 1, ...
+    std::vector<std::uint32_t> latencies_; ///< one set's ways
 };
 
 /**

@@ -68,34 +68,49 @@ Cpu::ibpb()
     rsb_.flush();
 }
 
-std::uint32_t
-Cpu::timedAccess(Addr vaddr)
+void
+Cpu::timedAccesses(std::span<const Addr> vaddrs, bool fill,
+                   std::span<std::uint32_t> latencies)
 {
-    const Translation t =
-        pt_.translate(vaddr, AccessType::Read, privilege_,
-                      enclaveMode_);
-    if (t.fault != FaultKind::None || !t.paddrValid)
-        return config_.cache.missLatency * 2;
-    return cache_.access(t.paddr, ctx_, true).latency;
-}
-
-std::uint32_t
-Cpu::timedProbe(Addr vaddr)
-{
-    const Translation t =
-        pt_.translate(vaddr, AccessType::Read, privilege_,
-                      enclaveMode_);
-    if (t.fault != FaultKind::None || !t.paddrValid)
-        return config_.cache.missLatency * 2;
-    return cache_.access(t.paddr, ctx_, false).latency;
+    // The call's translations, direct-mapped by virtual page number.
+    // Prime+Probe revisits a few dozen consecutive pages, which never
+    // share an entry; Flush+Reload touches each of its pages once.
+    // Pages that do share one are only translated again.
+    constexpr Addr kFault = ~Addr{0}; // no page base is odd
+    struct Page
+    {
+        Addr vpn = ~Addr{0};
+        Addr base = kFault; ///< physical page address, or kFault
+    };
+    std::array<Page, 64> pages;
+    const std::uint32_t fault_latency = config_.cache.missLatency * 2;
+    for (std::size_t i = 0; i < vaddrs.size(); ++i) {
+        const Addr vpn = vaddrs[i] / kPageSize;
+        Page &page = pages[vpn % pages.size()];
+        if (page.vpn != vpn) [[unlikely]] {
+            const Translation t =
+                pt_.translate(vpn * kPageSize, AccessType::Read,
+                              privilege_, enclaveMode_);
+            const bool ok = t.fault == FaultKind::None && t.paddrValid;
+            page = {vpn, ok ? t.paddr : kFault};
+        }
+        latencies[i] =
+            page.base != kFault
+                ? cache_.access(page.base + vaddrs[i] % kPageSize, ctx_,
+                                fill)
+                      .latency
+                : fault_latency;
+    }
 }
 
 void
-Cpu::flushLineVirt(Addr vaddr)
+Cpu::flushLinesVirt(std::span<const Addr> vaddrs)
 {
-    if (const Pte *pte = pt_.lookup(vaddr)) {
-        cache_.flushLine(pte->physPage * kPageSize +
-                         (vaddr % kPageSize));
+    for (const Addr vaddr : vaddrs) {
+        if (const Pte *pte = pt_.lookup(vaddr)) {
+            cache_.flushLine(pte->physPage * kPageSize +
+                             (vaddr % kPageSize));
+        }
     }
 }
 

@@ -21,9 +21,16 @@
  * forwarding path; defense flags (HwDefenseConfig) implement the
  * paper's strategies 1-4 as literal scheduler dependencies.
  *
- * Simplifications (documented in DESIGN.md): unlimited functional
- * units (latencies still apply), metadata-only cache, harness-level
- * covert-channel receiver helpers.
+ * Simplifications: functional units are unlimited (every latency
+ * still applies, only structural hazards are absent); the cache
+ * keeps metadata only (cache.hh: the channel signal is the hit/miss
+ * latency, data always comes from memory or the store buffer); and
+ * the covert-channel receiver runs at harness level --
+ * timedAccesses() and flushLinesVirt() apply its committed loads
+ * and flushes straight to the cache.  The receiver is a separate,
+ * non-speculative process in the paper's model: it runs after the
+ * transient window has closed and observes only each load's cache
+ * latency, which a pipeline round trip would not change.
  */
 
 #ifndef SPECSEC_UARCH_CPU_HH
@@ -32,6 +39,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -371,19 +379,44 @@ class Cpu
      *  pipeline round trip.
      *  @{ */
 
-    /** Timed load that fills the cache (prime / warm semantics). */
-    std::uint32_t timedAccess(Addr vaddr);
-
     /**
-     * Timed measurement that does not change cache state.  Real
+     * Timed committed loads of @p vaddrs, in the given order; the
+     * latency of vaddrs[i] goes to latencies[i] (@p latencies is at
+     * least as long as @p vaddrs).
+     *
+     * With @p fill a miss installs the line (prime / warm
+     * semantics).  Without it the load changes no cache state: real
      * Flush+Reload probes the last-level cache, where page-strided
-     * probe slots never conflict; the simulator only models an L1,
-     * so a state-changing sweep would evict yet-unmeasured slots --
-     * an artifact, not a property of the channel.  See DESIGN.md.
+     * probe slots never conflict; the simulator models only an L1,
+     * where a state-changing sweep would evict yet-unmeasured slots
+     * -- an artifact, not a property of the channel.
+     *
+     * A load that faults (unmapped, not present, reserved bit,
+     * privilege) takes missLatency * 2 and leaves the cache alone.
+     * Each page is translated once per call (again only when pages
+     * a multiple of 64 apart interleave): a translation depends only
+     * on the page table, the privilege and the enclave mode, and
+     * none of them changes inside a call.  Nothing is remembered
+     * across calls, because the page table may change between them
+     * (KPTI unmap, setPresent, setReservedBit).
      */
-    std::uint32_t timedProbe(Addr vaddr);
+    void timedAccesses(std::span<const Addr> vaddrs, bool fill,
+                       std::span<std::uint32_t> latencies);
 
-    void flushLineVirt(Addr vaddr);
+    /** One filling timedAccesses() load (a sender's touch). */
+    std::uint32_t
+    timedAccess(Addr vaddr)
+    {
+        std::uint32_t latency = 0;
+        timedAccesses({&vaddr, 1}, true, {&latency, 1});
+        return latency;
+    }
+
+    /** clflush every line of @p vaddrs whose page is mapped (the
+     *  present and permission bits are not checked). */
+    void flushLinesVirt(std::span<const Addr> vaddrs);
+    void flushLineVirt(Addr vaddr) { flushLinesVirt({&vaddr, 1}); }
+
     void warmLine(Addr vaddr);
     /** @} */
 

@@ -52,6 +52,24 @@ TEST(Cache, SetIndexComputation)
     EXPECT_EQ(c.setIndex(64 * 4), 0u); // wraps at 4 sets
 }
 
+TEST(Cache, SetIndexMatchesDivisionForEveryGeometry)
+{
+    // Power-of-two geometries index by shift and mask, the rest by
+    // division; both must name the same set.
+    for (const std::size_t sets : {1u, 64u, 100u, 256u}) {
+        for (const std::size_t line : {32u, 64u, 96u}) {
+            CacheConfig cfg = smallConfig();
+            cfg.sets = sets;
+            cfg.lineSize = line;
+            const Cache c(cfg);
+            for (Addr paddr = 0; paddr < 1 << 20; paddr += 37)
+                ASSERT_EQ(c.setIndex(paddr), (paddr / line) % sets)
+                    << sets << " sets, line " << line << ", paddr "
+                    << paddr;
+        }
+    }
+}
+
 TEST(Cache, LruEviction)
 {
     Cache c(smallConfig()); // 2 ways

@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <set>
+#include <thread>
+
 #include "attacks/runner.hh"
 #include "campaign/campaign.hh"
+#include "campaign/sink.hh"
 #include "tool/report.hh"
 
 namespace
@@ -470,6 +475,40 @@ TEST(Engine, CollectsStatsAndThroughput)
     EXPECT_GT(report.scenariosPerSecond, 0.0);
     EXPECT_EQ(report.expandedCount, 1u);
     EXPECT_EQ(report.uniqueCount, 1u);
+}
+
+TEST(Engine, PoolNeverExceedsTheCellCount)
+{
+    // A 64-worker run of an 8-cell grid starts at most one thread per
+    // cell; the outcomes come from at most that many threads.
+    struct ThreadSink : OutcomeSink
+    {
+        std::mutex mutex;
+        std::set<std::thread::id> ids;
+        std::size_t outcomes = 0;
+        CampaignFooter footer;
+
+        void
+        consume(const ScenarioOutcome &) override
+        {
+            const std::lock_guard<std::mutex> lock(mutex);
+            ids.insert(std::this_thread::get_id());
+            ++outcomes;
+        }
+        void end(const CampaignFooter &f) override { footer = f; }
+    };
+    ScenarioSpec spec = ScenarioSpec::defenseMatrix();
+    spec.variants = {AttackVariant::SpectreV1};
+    spec.channels = {CovertChannelKind::FlushReload};
+    ASSERT_EQ(spec.gridSize(), 8u);
+
+    ThreadSink sink;
+    CampaignEngine(CampaignEngine::Options{64}).run(spec, {&sink});
+    EXPECT_EQ(sink.outcomes, 8u);
+    EXPECT_GE(sink.footer.threads, 1u);
+    EXPECT_LE(sink.footer.threads, 8u);
+    EXPECT_LE(sink.footer.threads, dedupGrid(spec).uniqueIndices.size());
+    EXPECT_LE(sink.ids.size(), sink.footer.threads);
 }
 
 TEST(Engine, MatrixAgreesWithDirectRunner)

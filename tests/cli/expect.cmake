@@ -1,8 +1,12 @@
 # One CLI contract case: run a command, then check its exit code and
-# (optionally) that its combined stdout+stderr matches a regex.
+# (optionally) that its combined stdout+stderr matches a regex and
+# does not match another.
 #
-#   cmake -DEXIT=<code> [-DREGEX=<regex>] -DWORKDIR=<dir>
+#   cmake -DEXIT=<code> [-DREGEX=<regex>] [-DABSENT=<regex>]
+#         [-DMKDIR=<subdir>] -DWORKDIR=<dir>
 #         -P expect.cmake -- <program> [args...]
+#
+# MKDIR creates WORKDIR/<subdir> before the run.
 #
 # Arguments may not contain ';' (CMake's list separator).
 
@@ -20,6 +24,9 @@ if(NOT cmd)
   message(FATAL_ERROR "expect.cmake: no command after --")
 endif()
 file(MAKE_DIRECTORY "${WORKDIR}")
+if(DEFINED MKDIR)
+  file(MAKE_DIRECTORY "${WORKDIR}/${MKDIR}")
+endif()
 
 execute_process(COMMAND ${cmd}
   WORKING_DIRECTORY "${WORKDIR}"
@@ -33,5 +40,9 @@ if(NOT "${rc}" STREQUAL "${EXIT}")
 endif()
 if(DEFINED REGEX AND NOT "${out}${err}" MATCHES "${REGEX}")
   message(FATAL_ERROR "`${shown}` output does not match '${REGEX}'\n"
+                      "stdout:\n${out}\nstderr:\n${err}")
+endif()
+if(DEFINED ABSENT AND "${out}${err}" MATCHES "${ABSENT}")
+  message(FATAL_ERROR "`${shown}` output matches '${ABSENT}'\n"
                       "stdout:\n${out}\nstderr:\n${err}")
 endif()

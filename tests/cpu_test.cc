@@ -572,16 +572,19 @@ TEST_F(CpuFixture, ContextSwitchAppliesDefenses)
     EXPECT_EQ(cpu.context(), 1);
 }
 
-TEST_F(CpuFixture, TimedProbeDoesNotAllocate)
+TEST_F(CpuFixture, NonFillProbeDoesNotAllocate)
 {
     Cpu cpu = makeCpu();
-    EXPECT_EQ(cpu.timedProbe(0x8000),
-              cpu.config().cache.missLatency);
+    const Addr line = 0x8000;
+    std::uint32_t latency = 0;
+    cpu.timedAccesses({&line, 1}, false, {&latency, 1});
+    EXPECT_EQ(latency, cpu.config().cache.missLatency);
     EXPECT_FALSE(cpu.cache().contains(0x8000));
     EXPECT_EQ(cpu.timedAccess(0x8000),
               cpu.config().cache.missLatency);
     EXPECT_TRUE(cpu.cache().contains(0x8000));
-    EXPECT_EQ(cpu.timedProbe(0x8000), cpu.config().cache.hitLatency);
+    cpu.timedAccesses({&line, 1}, false, {&latency, 1});
+    EXPECT_EQ(latency, cpu.config().cache.hitLatency);
 }
 
 TEST_F(CpuFixture, NoBranchPredictionSerializesFetch)
